@@ -10,13 +10,11 @@ maximizers with uniqueness up to isomorphism.
 from .graph import (Bipartition, Graph, Graph6Error, emit_graph6,
                     find_bipartition, from_biadjacency, is_bipartite,
                     parse_graph6)
-from .invariants import (ClassDescriptor, class_member, covering_number,
-                         edge_connectivity, is_connected, matching_number,
-                         vertex_connectivity)
-from .spectral import (EstradaValue, JacobiConvergenceError, MomentComparison,
-                       MomentSeries, SpectrumResult, compare_ee_exact,
-                       eigenvalues, estrada, moment_series, nullity_exact,
-                       spectral_moment_exact)
+from .invariants import (ClassDescriptor, class_member, edge_connectivity,
+                         is_connected, matching_number, vertex_connectivity)
+from .spectral import (EstradaValue, JacobiConvergenceError, MomentSeries,
+                       SpectrumResult, eigenvalues, estrada, moment_series,
+                       nullity_exact, spectral_moment_exact)
 from .walks import (DominanceReport, IdentificationScheme, TwinCheck,
                     WalkCountTable, dominance_check, identify_union,
                     twin_check, walk_counts)
@@ -24,31 +22,29 @@ from .families import (CoverPartition, JoinFamilyParams, collapsed_cover_graph,
                        complete_bipartite, join_family, join_family_double,
                        saturated_cover_graph)
 from .quartic import (ComparisonVerdict, QuarticForm, complete_bipartite_ee,
-                      complete_split_deficit, ee_closed_form,
-                      monotonicity_witness, quartic_roots, side_swap_gain,
-                      transfer_gain)
-from .search import (ExtremalReport, enumerate_bipartite, classify,
-                     find_maximizer, find_maximizers, is_isomorphic,
-                     predicted_maximizer)
+                      complete_split_deficit, ee_closed_form, quartic_roots,
+                      side_swap_gain, transfer_gain)
+from .search import (ExtremalReport, find_maximizer, find_maximizers,
+                     is_isomorphic, predicted_maximizer)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition", "Graph", "Graph6Error", "emit_graph6", "find_bipartition",
     "from_biadjacency", "is_bipartite", "parse_graph6",
-    "ClassDescriptor", "class_member", "covering_number", "edge_connectivity",
-    "is_connected", "matching_number", "vertex_connectivity",
-    "EstradaValue", "JacobiConvergenceError", "MomentComparison",
-    "MomentSeries", "SpectrumResult", "compare_ee_exact", "eigenvalues",
-    "estrada", "moment_series", "nullity_exact", "spectral_moment_exact",
+    "ClassDescriptor", "class_member", "edge_connectivity", "is_connected",
+    "matching_number", "vertex_connectivity",
+    "EstradaValue", "JacobiConvergenceError", "MomentSeries", "SpectrumResult",
+    "eigenvalues", "estrada", "moment_series", "nullity_exact",
+    "spectral_moment_exact",
     "DominanceReport", "IdentificationScheme", "TwinCheck", "WalkCountTable",
     "dominance_check", "identify_union", "twin_check", "walk_counts",
     "CoverPartition", "JoinFamilyParams", "collapsed_cover_graph",
     "complete_bipartite", "join_family", "join_family_double",
     "saturated_cover_graph",
     "ComparisonVerdict", "QuarticForm", "complete_bipartite_ee",
-    "complete_split_deficit", "ee_closed_form", "monotonicity_witness",
-    "quartic_roots", "side_swap_gain", "transfer_gain",
-    "ExtremalReport", "enumerate_bipartite", "classify", "find_maximizer",
-    "find_maximizers", "is_isomorphic", "predicted_maximizer",
+    "complete_split_deficit", "ee_closed_form", "quartic_roots",
+    "side_swap_gain", "transfer_gain",
+    "ExtremalReport", "find_maximizer", "find_maximizers", "is_isomorphic",
+    "predicted_maximizer",
 ]

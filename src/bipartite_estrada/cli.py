@@ -23,7 +23,8 @@ from .graph import Graph, Graph6Error, emit_graph6, find_bipartition, parse_grap
 from .invariants import (BRUTE_FORCE_MATCHING_LIMIT, edge_connectivity,
                          matching_number, vertex_connectivity)
 from .quartic import CLI_LEMMAS, sweep
-from .search import NEAR_TIE, TIE_BREAK_K_MAX, find_maximizers
+from .search import (N_DEFAULT_MAX, N_HARD_MAX, NEAR_TIE, TIE_BREAK_K_MAX,
+                     find_maximizers)
 from .spectral import JACOBI_TOLERANCE, MOMENT_BUDGET, estrada, eigenvalues, moment_series
 
 
@@ -136,6 +137,8 @@ _COMPUTE_FLAT = ["graph6", "n", "m", "nullity", "estrada_eigen", "estrada_cosh",
 
 
 def _cmd_compute(args) -> int:
+    if not args.tolerance > 0:
+        raise CliUsageError("--tolerance must be positive")
     graphs = _load_graphs(args)
     reports = [_compute_report(g, args.tolerance) for g in graphs]
     if args.format == "json":
@@ -206,6 +209,8 @@ def _cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_moments(args) -> int:
+    if not 0 <= args.k_max <= MOMENT_BUDGET:
+        raise CliUsageError(f"--k-max must be in 0..{MOMENT_BUDGET}")
     graphs = _load_graphs(args)
     records = []
     for g in graphs:
@@ -291,8 +296,12 @@ def _cmd_verify(args) -> int:
         raise CliUsageError("--n-min must be at least 2")
     if args.n_max < args.n_min:
         raise CliUsageError("--n-max must be >= --n-min")
-    if args.n_max > 9 and not args.allow_n10:
-        raise CliUsageError("orders above 9 need --allow-n10")
+    if args.n_max > N_DEFAULT_MAX and not args.allow_n10:
+        raise CliUsageError(f"orders above {N_DEFAULT_MAX} need --allow-n10")
+    if args.n_max > N_HARD_MAX:
+        raise CliUsageError(f"--n-max must be at most {N_HARD_MAX}")
+    if args.threads < 1:
+        raise CliUsageError("--threads must be at least 1")
     kind = _THEOREM_KINDS[args.theorem]
     reports = []
     for n in range(args.n_min, args.n_max + 1):

@@ -1,15 +1,15 @@
-"""Matching number, covering number, and vertex/edge connectivity.
+"""Matching number and vertex/edge connectivity.
 
 The public functions take :class:`~bipartite_estrada.graph.Graph` values; the
 underscore-prefixed helpers work on raw bitmask rows so that the exhaustive
 search can call them without constructing Graph objects per candidate.  All
-arithmetic is integer and all flow networks use unit capacities.
+arithmetic is integer, and both connectivities count disjoint paths with one
+unit-capacity flow routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 
 from .graph import Graph, bit_indices, find_bipartition
 
@@ -48,21 +48,7 @@ class ClassDescriptor:
 # ---------------------------------------------------------------------------
 
 def _connected_rows(rows, n: int) -> bool:
-    if n == 1:
-        return True
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+    return _connected_within(rows, (1 << n) - 1)
 
 
 def _connected_within(rows, alive: int) -> bool:
@@ -166,68 +152,65 @@ def _brute_matching(rows, alive: int, memo: dict[int, int]) -> int:
     return best
 
 
-def _vertex_flow(rows, n: int, s: int, t: int, cap: int) -> int:
-    """Internally vertex-disjoint s-t path count, stopping early at ``cap``.
+def _unit_flow(arcs, s: int, t: int, cap: int) -> int:
+    """Arc-disjoint s-t path count in a unit-capacity digraph, stopping at ``cap``.
 
-    Unit vertex capacities via node splitting: node ``v`` is the in-copy,
-    node ``v + n`` the out-copy.  Each undirected edge ``uv`` contributes the
-    arcs ``u_out -> v_in`` and ``v_out -> u_in`` with unit capacity (valid for
-    non-adjacent ``s, t``: vertex-disjoint paths cannot share an edge).
+    ``arcs[u]`` is the bitmask of heads of the arcs out of ``u``.  ``flow[u]``
+    holds the arcs out of ``u`` that carry a unit of flow and ``back`` is its
+    transpose, so the residual arcs out of ``u`` are
+    ``(arcs[u] & ~flow[u]) | back[u]``; augmenting over a ``back`` arc cancels
+    the opposite unit.  A symmetric ``arcs`` (the rows of an undirected graph)
+    gives edge-disjoint paths.
     """
-    used = [False] * n          # in->out arc of a vertex saturated
-    edge_flow: set[tuple[int, int]] = set()  # (u, v): unit flow on u_out -> v_in
-    src, dst = s + n, t
-    flow = 0
-    while flow < cap:
-        parent = {src: -1}
-        queue = deque([src])
-        while queue and dst not in parent:
-            x = queue.popleft()
-            if x >= n:
-                u = x - n
-                cand = rows[u]
-                while cand:
-                    low = cand & -cand
-                    v = low.bit_length() - 1
-                    cand ^= low
-                    if v not in parent and (u, v) not in edge_flow:
-                        parent[v] = x
-                        queue.append(v)
-                if used[u] and u not in parent:   # residual of in->out
-                    parent[u] = x
-                    queue.append(u)
-            else:
-                v = x
-                if not used[v] and v + n not in parent:
-                    parent[v + n] = x
-                    queue.append(v + n)
-                cand = rows[v]
-                while cand:
-                    low = cand & -cand
-                    u = low.bit_length() - 1
-                    cand ^= low
-                    # residual of the edge arc u_out -> v_in
-                    if (u, v) in edge_flow and u + n not in parent:
-                        parent[u + n] = x
-                        queue.append(u + n)
-        if dst not in parent:
+    size = len(arcs)
+    flow = [0] * size
+    back = [0] * size
+    parent = [0] * size  # entries are read only for nodes reached this round
+    target = 1 << t
+    total = 0
+    while total < cap:
+        seen = 1 << s
+        queue = [s]
+        for u in queue:
+            nxt = ((arcs[u] & ~flow[u]) | back[u]) & ~seen
+            if not nxt:
+                continue
+            seen |= nxt
+            while nxt:
+                low = nxt & -nxt
+                v = low.bit_length() - 1
+                parent[v] = u
+                queue.append(v)
+                nxt ^= low
+            if seen & target:
+                break
+        else:  # no augmenting path is left
             break
-        node = dst
-        while parent[node] != -1:
-            prev = parent[node]
-            if prev >= n and node < n:
-                if prev - n == node:
-                    used[node] = False            # took residual out->in
-                else:
-                    edge_flow.add((prev - n, node))
-            else:  # prev < n, node >= n
-                if node - n == prev:
-                    used[prev] = True             # forward in->out
-                else:
-                    edge_flow.discard((node - n, prev))
-            node = prev
-        flow += 1
-    return flow
+        v = t
+        while v != s:
+            u = parent[v]
+            if (back[u] >> v) & 1:
+                back[u] ^= 1 << v
+                flow[v] ^= 1 << u
+            else:
+                flow[u] |= 1 << v
+                back[v] |= 1 << u
+            v = u
+        total += 1
+    return total
+
+
+def _vertex_flow(rows, n: int, s: int, t: int, cap: int) -> int:
+    """Internally vertex-disjoint s-t path count for non-adjacent ``s, t``,
+    stopping at ``cap``.
+
+    Node splitting (Even-Tarjan): in-copy ``v`` has the single arc to its
+    out-copy ``v + n``, and out-copy ``u + n`` has arcs to the in-copies of
+    the neighbours of ``u``.  Unit arc capacities then bound every vertex to
+    one path.
+    """
+    arcs = [1 << (v + n) for v in range(n)] + list(rows)
+    return _unit_flow(arcs, s + n, t, cap)
 
 
 def _vertex_conn_rows(rows, n: int) -> int:
@@ -255,31 +238,7 @@ def _vertex_conn_rows(rows, n: int) -> int:
 
 def _edge_flow(rows, n: int, s: int, t: int, cap: int) -> int:
     """Edge-disjoint s-t path count with early exit at ``cap``."""
-    residual = [[(rows[u] >> v) & 1 for v in range(n)] for u in range(n)]
-    flow = 0
-    while flow < cap:
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            u = queue.popleft()
-            row = residual[u]
-            for v in range(n):
-                if row[v] and parent[v] == -1:
-                    parent[v] = u
-                    if v == t:
-                        break
-                    queue.append(v)
-        if parent[t] == -1:
-            break
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= 1
-            residual[v][u] += 1
-            v = u
-        flow += 1
-    return flow
+    return _unit_flow(rows, s, t, cap)
 
 
 def _edge_conn_rows(rows, n: int) -> int:
@@ -320,56 +279,6 @@ def matching_number(g: Graph) -> int:
         raise ValueError(
             f"non-bipartite matching supported only for n <= {BRUTE_FORCE_MATCHING_LIMIT}")
     return _brute_matching(g.rows, (1 << g.n) - 1, {})
-
-
-def covering_number(g: Graph) -> tuple[int, frozenset[int]]:
-    """Minimum vertex cover size of a bipartite graph, with one witness cover.
-
-    The witness is derived from a maximum matching by alternating
-    reachability, so its size always equals the matching number.
-    """
-    bip = find_bipartition(g)
-    if bip is None:
-        raise ValueError("covering_number requires a bipartite graph")
-    left = sorted(bip.side_x)
-    match_to: dict[int, int] = {}
-
-    def try_augment(u: int, seen: list[int]) -> bool:
-        cand = g.rows[u] & ~seen[0]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            seen[0] |= low
-            if v not in match_to or try_augment(match_to[v], seen):
-                match_to[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in left:
-        if try_augment(u, [0]):
-            size += 1
-
-    matched_left = set(match_to.values())
-    # alternating reachability from unmatched left vertices
-    reachable_left = {u for u in left if u not in matched_left}
-    reachable_right: set[int] = set()
-    queue = deque(reachable_left)
-    while queue:
-        u = queue.popleft()
-        for v in bit_indices(g.rows[u]):
-            if v in reachable_right:
-                continue
-            reachable_right.add(v)
-            partner = match_to.get(v)
-            if partner is not None and partner not in reachable_left:
-                reachable_left.add(partner)
-                queue.append(partner)
-    cover = frozenset(u for u in left if u not in reachable_left) | frozenset(reachable_right)
-    if len(cover) != size:
-        raise AssertionError("cover witness does not match the matching size")
-    return size, cover
 
 
 def vertex_connectivity(g: Graph) -> int:

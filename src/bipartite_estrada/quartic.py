@@ -73,21 +73,6 @@ def ee_closed_form(p: int, q: int, s: int) -> float:
     return n - 4 + 2.0 * math.cosh(form.x1) + 2.0 * math.cosh(form.x2)
 
 
-def monotonicity_witness(r: float, k: float) -> tuple[float, float]:
-    """Partial derivatives of ``f(r, k) = 2cosh(r) + 2cosh(k/r)`` (+ const).
-
-    Valid on the cone ``r > sqrt(k) > 0``, where both must be positive:
-    the first is ``(e^r - e^-r) - (k/r^2)(e^{k/r} - e^{-k/r})``, the second
-    ``(e^{k/r} - e^{-k/r}) / r``.
-    """
-    if not (k > 0 and r > math.sqrt(k)):
-        raise ValueError("witness requires r > sqrt(k) > 0")
-    df_dr = (math.exp(r) - math.exp(-r)) \
-        - (k / (r * r)) * (math.exp(k / r) - math.exp(-k / r))
-    df_dk = (math.exp(k / r) - math.exp(-k / r)) / r
-    return df_dr, df_dk
-
-
 def quartic_value_at_integer_square(x_squared: int, p: int, q: int, s: int) -> int:
     """Exact value of ``g(x) = x^4 - x^2 c2 + c0`` when ``x^2`` is an integer."""
     c2 = s + p * q + p * s

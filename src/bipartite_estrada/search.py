@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,28 +42,6 @@ def _graph_from_split(n: int, a: int, mask: int) -> Graph:
     b = n - a
     bits = [[(mask >> (i * b + j)) & 1 for j in range(b)] for i in range(a)]
     return from_biadjacency(a, b, bits)
-
-
-def enumerate_bipartite(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """Yield every bipartite graph on ``n`` vertices at least once.
-
-    Iterates all biadjacency masks of every split ``(a, b)``, ``1 <= a <= b``;
-    the stream contains duplicate isomorphism classes.
-    """
-    if not 2 <= n <= N_HARD_MAX:
-        raise ValueError(f"order must be in 2..{N_HARD_MAX}")
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        for mask in range(1 << (a * b)):
-            g = _graph_from_split(n, a, mask)
-            if connected_only and not _connected_rows(g.rows, n):
-                continue
-            yield g
-
-
-def classify(g: Graph, descriptor: ClassDescriptor) -> bool:
-    """Class membership via the invariants module."""
-    return class_member(g, descriptor)
 
 
 def predicted_maximizer(descriptor: ClassDescriptor) -> Graph | None:
@@ -324,7 +302,7 @@ def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
             for value, part in result.items():
                 merged[value].merge(part)
     else:
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, len(tasks))) as pool:
             for result in pool.imap(_scan_batch, tasks):
                 for value, part in result.items():
                     merged[value].merge(part)

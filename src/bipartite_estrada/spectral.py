@@ -23,7 +23,6 @@ from .graph import Graph, find_bipartition
 
 JACOBI_TOLERANCE = 1e-12
 JACOBI_SWEEP_BUDGET = 100
-NULLITY_HINT_THRESHOLD = 1e-6   # float hint only; exact rank is authoritative
 MOMENT_BUDGET = 64
 SERIES_TARGET = 1e-10
 
@@ -54,24 +53,6 @@ class EstradaValue:
     value: float
     method: str
     error_bound: float | None = None
-
-
-@dataclass(frozen=True)
-class MomentComparison:
-    """Lexicographic comparison of two exact moment sequences.
-
-    ``ordering`` is -1/0/+1 for first < second / all compared moments equal /
-    first > second.  An ordering of 0 only certifies equality up to ``k_max``;
-    the graphs may be cospectral.
-    """
-
-    ordering: int
-    first_difference: int | None
-    k_max: int
-
-    @property
-    def equal_up_to_k_max(self) -> bool:
-        return self.ordering == 0
 
 
 def _jacobi(matrix: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
@@ -112,19 +93,13 @@ def _jacobi(matrix: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
 def eigenvalues(g: Graph, tol: float = JACOBI_TOLERANCE) -> SpectrumResult:
     """Adjacency spectrum sorted descending, with exact nullity.
 
-    The float nullity hint (eigenvalues below ``NULLITY_HINT_THRESHOLD`` in
-    magnitude) is cross-checked against the exact integer rank; the exact
-    value wins and is the one reported.
+    The eigenvalues come from the Jacobi sweep; the nullity is ``n - rank``
+    from exact integer elimination and is never read off the float spectrum.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     spectrum = _jacobi(g.adjacency_matrix(), tol, JACOBI_SWEEP_BUDGET)
     return SpectrumResult(tuple(float(x) for x in spectrum), nullity_exact(g), tol)
-
-
-def nullity_hint(spectrum: SpectrumResult) -> int:
-    """Float-threshold zero count; a hint only, never authoritative."""
-    return sum(1 for x in spectrum.eigenvalues if abs(x) < NULLITY_HINT_THRESHOLD)
 
 
 def _integer_rank(mat: list[list[int]]) -> int:
@@ -236,20 +211,3 @@ def estrada(g: Graph, method: str = "eigen", *, tol: float = JACOBI_TOLERANCE,
                              + lam_bound - math.lgamma(cutoff + 2))
         return EstradaValue(float(acc), "moment-series", bound)
     raise ValueError(f"unknown method {method!r}")
-
-
-def compare_ee_exact(g: Graph, h: Graph, k_max: int = MOMENT_BUDGET) -> MomentComparison:
-    """Exact tie-breaker: lexicographic comparison of moment sequences.
-
-    Only meaningful for graphs of equal order.  Reports equality only when
-    all compared moments coincide, in which case cospectrality is suspected
-    and the verdict is explicitly "up to k_max".
-    """
-    if g.n != h.n:
-        raise ValueError("moment comparison requires graphs of equal order")
-    mg = _moment_run(g, k_max)
-    mh = _moment_run(h, k_max)
-    for k in range(k_max + 1):
-        if mg[k] != mh[k]:
-            return MomentComparison(-1 if mg[k] < mh[k] else 1, k, k_max)
-    return MomentComparison(0, None, k_max)

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from bipartite_estrada.families import join_family
-from bipartite_estrada.graph import Graph, bit_indices
+from bipartite_estrada.graph import Graph, bit_indices, from_biadjacency
 
 
 def ee_lapack(g: Graph) -> float:
@@ -153,6 +153,20 @@ def bf_closed_walks(g: Graph, k: int) -> int:
     return sum(bf_walk_count(g, v, v, k) for v in range(g.n))
 
 
+def bipartite_graphs(n: int, connected_only: bool = False):
+    """Every bipartite graph on n vertices at least once: each biadjacency
+    mask of each split ``(a, n - a)``, ``1 <= a <= n/2``, so the stream holds
+    duplicate isomorphism classes.  ``connected_only`` keeps the graphs that
+    ``connected_after_removal`` finds connected."""
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        for mask in range(1 << (a * b)):
+            g = from_biadjacency(a, b, [[(mask >> (i * b + j)) & 1 for j in range(b)]
+                                        for i in range(a)])
+            if not connected_only or connected_after_removal(g, set()):
+                yield g
+
+
 def all_graphs(n: int):
     """Every labeled simple graph on n vertices (use only for n <= 6)."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -194,5 +208,4 @@ def random_bipartite(rng, n_max: int, p: float = 0.5) -> Graph:
     a = rng.randint(1, n - 1)
     b = n - a
     bits = [[1 if rng.random() < p else 0 for _ in range(b)] for _ in range(a)]
-    from bipartite_estrada.graph import from_biadjacency
     return from_biadjacency(a, b, bits)

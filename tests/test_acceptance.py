@@ -31,12 +31,11 @@ from bipartite_estrada.families import (CoverPartition, collapsed_cover_graph,
 from bipartite_estrada.graph import emit_graph6, find_bipartition
 from bipartite_estrada.quartic import (complete_bipartite_ee, ee_closed_form,
                                        quartic_roots, side_swap_gain, sweep)
-from bipartite_estrada.search import (enumerate_bipartite, find_maximizers,
-                                      is_isomorphic)
+from bipartite_estrada.search import find_maximizers, is_isomorphic
 from bipartite_estrada.spectral import (eigenvalues, estrada, nullity_exact)
 from bipartite_estrada.walks import walk_counts
-from oracles import (corrected_connectivity_prediction, ee_lapack,
-                     random_bipartite)
+from oracles import (bipartite_graphs, corrected_connectivity_prediction,
+                     ee_lapack, random_bipartite)
 
 NEAR = 1e-9
 
@@ -268,7 +267,7 @@ def test_edge_addition_monotonicity():
     exhaustively over all bipartite graphs with n <= 6."""
     failures = []
     for n in range(2, 7):
-        for g in enumerate_bipartite(n):
+        for g in bipartite_graphs(n):
             base = estrada(g).value
             for u, v in g.non_edges():
                 bigger = g.with_edge(u, v)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bipartite_estrada import cli
 from bipartite_estrada.cli import main
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import emit_graph6, parse_graph6
@@ -12,6 +13,10 @@ from bipartite_estrada.search import is_isomorphic
 
 K23 = "D]o"       # complete split with sides 2 and 3
 TRIANGLE = "Bw"
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a rejected flag must stop before any scan")
 
 
 def run(capsys, *argv):
@@ -84,6 +89,10 @@ class TestCompute:
         code, _, _ = run(capsys, "compute", "--graph6", "@", "--file", str(path))
         assert code == 2
 
+    def test_nonpositive_tolerance_exit2(self, capsys):
+        code, _, err = run(capsys, "compute", "--graph6", K23, "--tolerance", "0")
+        assert code == 2 and "usage error" in err
+
 
 class TestConstruct:
     def test_join(self, capsys):
@@ -145,6 +154,11 @@ class TestMoments:
         lines = out.strip().split("\n")
         assert lines[0] == "graph6,k,moment"
         assert lines[1:] == ["A_,0,2", "A_,1,0", "A_,2,2", "A_,3,0"]
+
+    def test_k_max_out_of_budget_exit2(self, capsys):
+        for k_max in ("65", "-1"):
+            code, _, err = run(capsys, "moments", "--graph6", K23, "--k-max", k_max)
+            assert code == 2 and "usage error" in err
 
 
 class TestCompare:
@@ -222,6 +236,19 @@ class TestVerify:
                    "--n-min", "4", "--n-max", "3")[0] == 2
         assert run(capsys, "verify", "--theorem", "matching",
                    "--n-min", "2", "--n-max", "10")[0] == 2
+
+    def test_order_above_hard_max_exit2_before_scanning(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_maximizers", _no_scan)
+        code, _, err = run(capsys, "verify", "--theorem", "matching",
+                           "--n-max", "11", "--allow-n10")
+        assert code == 2 and "usage error" in err
+
+    def test_threads_below_one_exit2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_maximizers", _no_scan)
+        for threads in ("0", "-3"):
+            code, _, err = run(capsys, "verify", "--theorem", "matching",
+                               "--n-max", "4", "--threads", threads)
+            assert code == 2 and "usage error" in err
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "matching",

@@ -1,17 +1,19 @@
 """Matching, covering, and connectivity against brute-force oracles."""
 
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
 from bipartite_estrada.families import complete_bipartite, join_family
-from bipartite_estrada.graph import Graph, find_bipartition
+from bipartite_estrada.graph import Graph, from_biadjacency
 from bipartite_estrada.invariants import (ClassDescriptor, class_member,
-                                          covering_number, edge_connectivity,
-                                          matching_number, vertex_connectivity)
-from bipartite_estrada.search import enumerate_bipartite
+                                          edge_connectivity, matching_number,
+                                          vertex_connectivity)
 from oracles import (all_graphs, bf_edge_connectivity, bf_matching_number,
-                     bf_min_vertex_cover, bf_vertex_connectivity)
+                     bf_min_vertex_cover, bf_vertex_connectivity,
+                     bipartite_graphs)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -47,34 +49,12 @@ class TestMatching:
 
 
 class TestCovering:
-    def test_complete_bipartite_witness(self):
-        size, witness = covering_number(complete_bipartite(2, 3))
-        assert size == 2
-        assert witness == frozenset({0, 1})
-
-    def test_three_disjoint_edges(self):
-        g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        size, witness = covering_number(g)
-        assert size == 3
-
-    def test_non_bipartite_rejected(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(ValueError):
-            covering_number(g)
-
     def test_konig_equality_exhaustive(self):
-        # covering number equals matching number on every bipartite graph, n <= 7
+        # Konig-Egervary: on every bipartite graph with n <= 7 the matching
+        # number equals the minimum vertex cover found by subset search
         for n in range(2, 8):
-            for g in enumerate_bipartite(n):
-                size, witness = covering_number(g)
-                assert size == matching_number(g)
-                assert all(u in witness or v in witness for u, v in g.edges())
-
-    def test_witness_minimal_small(self):
-        for n in range(2, 6):
-            for g in enumerate_bipartite(n):
-                size, _ = covering_number(g)
-                assert size == bf_min_vertex_cover(g)
+            for g in bipartite_graphs(n):
+                assert matching_number(g) == bf_min_vertex_cover(g)
 
 
 class TestConnectivity:
@@ -125,17 +105,44 @@ class TestConnectivity:
             assert edge_connectivity(g) == bf_edge_connectivity(g)
 
     def test_exhaustive_bipartite_order6(self):
-        for g in enumerate_bipartite(6, connected_only=True):
+        for g in bipartite_graphs(6, connected_only=True):
             assert vertex_connectivity(g) == bf_vertex_connectivity(g)
             assert edge_connectivity(g) == bf_edge_connectivity(g)
 
     def test_whitney_chain(self):
         # vertex connectivity <= edge connectivity <= min degree, connected n <= 6
         for n in range(2, 7):
-            for g in enumerate_bipartite(n, connected_only=True):
+            for g in bipartite_graphs(n, connected_only=True):
                 k = vertex_connectivity(g)
                 kp = edge_connectivity(g)
                 assert k <= kp <= g.min_degree()
+
+    def test_against_networkx_large(self):
+        # the flows at orders far beyond the brute-force oracles' reach
+        rng = random.Random(41)
+        # two K_{3,3} sharing vertex 0 have vertex connectivity 1 and edge
+        # connectivity 3; on the 12-vertex graph some pair has two
+        # vertex-disjoint paths but the first shortest augmenting path blocks
+        # the second unless a residual back arc reroutes it; the last graph
+        # is disconnected
+        shared = [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)] \
+            + [(u, v) for u in (0, 6, 7) for v in (8, 9, 10)]
+        reroute = [(0, 6), (0, 7), (1, 6), (1, 9), (2, 10), (2, 11), (3, 7),
+                   (3, 8), (3, 10), (3, 11), (4, 6), (4, 8), (5, 8), (5, 9),
+                   (5, 10)]
+        graphs = [complete_bipartite(31, 31), Graph.from_edges(11, shared),
+                  Graph.from_edges(12, reroute),
+                  Graph.from_edges(20, [(0, 1), (1, 2), (5, 6), (6, 7), (7, 8)])]
+        for n in (12, 20, 30, 62):
+            for p in (0.3, 0.6, 0.9):
+                a = rng.randint(n // 4, n // 2)
+                bits = [[rng.random() < p for _ in range(n - a)] for _ in range(a)]
+                graphs.append(from_biadjacency(a, n - a, bits))
+        for g in graphs:
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            assert vertex_connectivity(g) == nx.node_connectivity(ref)
+            assert edge_connectivity(g) == nx.edge_connectivity(ref)
 
 
 class TestClassDescriptor:

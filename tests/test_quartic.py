@@ -7,7 +7,7 @@ import pytest
 from bipartite_estrada.families import join_family
 from bipartite_estrada.quartic import (complete_bipartite_ee,
                                        complete_split_deficit, ee_closed_form,
-                                       monotonicity_witness, quartic_roots,
+                                       quartic_roots,
                                        quartic_value_at_integer_square,
                                        side_swap_gain, sweep, transfer_gain,
                                        transfer_root_shift_sign)
@@ -77,39 +77,6 @@ class TestClosedForm:
                     assert vals[-1] == pytest.approx(-form.x1, abs=1e-8)
                     assert vals[-2] == pytest.approx(-form.x2, abs=1e-8)
                     assert nullity_exact(g) == g.n - 4
-
-
-class TestMonotonicity:
-    def test_frozen_example(self):
-        # independent arithmetic: (e^2 - e^-2) - (1/4)(e^0.5 - e^-0.5)
-        df_dr, df_dk = monotonicity_witness(2.0, 1.0)
-        expected_r = (math.exp(2) - math.exp(-2)) \
-            - 0.25 * (math.exp(0.5) - math.exp(-0.5))
-        assert df_dr == pytest.approx(expected_r, abs=1e-12)
-        assert df_dr == pytest.approx(6.9931731, abs=1e-6)
-        assert df_dk == pytest.approx((math.exp(0.5) - math.exp(-0.5)) / 2, abs=1e-12)
-        assert df_dr > 0 and df_dk > 0
-
-    def test_path_point(self):
-        df_dr, df_dk = monotonicity_witness(GOLDEN, 1.0)
-        assert df_dr > 0 and df_dk > 0
-
-    def test_finite_difference(self):
-        h = 1e-5
-        for r, k in ((2.0, 1.0), (3.5, 2.0), (1.7, 1.2)):
-            def f(rr, kk):
-                return 2 * math.cosh(rr) + 2 * math.cosh(kk / rr)
-            df_dr, df_dk = monotonicity_witness(r, k)
-            assert df_dr == pytest.approx((f(r + h, k) - f(r - h, k)) / (2 * h),
-                                          abs=1e-6)
-            assert df_dk == pytest.approx((f(r, k + h) - f(r, k - h)) / (2 * h),
-                                          abs=1e-6)
-
-    def test_cone_precondition(self):
-        with pytest.raises(ValueError):
-            monotonicity_witness(1.0, 1.0)
-        with pytest.raises(ValueError):
-            monotonicity_witness(2.0, 0.0)
 
 
 class TestComparisons:

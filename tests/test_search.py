@@ -1,45 +1,51 @@
-"""Enumeration, isomorphism, and the class maximizer scans."""
+"""Scan stream, isomorphism, and the class maximizer scans."""
 
 import math
 import random
 
 import pytest
 
+from bipartite_estrada import search
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, find_bipartition, from_biadjacency
-from bipartite_estrada.invariants import ClassDescriptor
-from bipartite_estrada.search import (classify, enumerate_bipartite,
-                                      find_maximizer, find_maximizers,
+from bipartite_estrada.invariants import ClassDescriptor, class_member
+from bipartite_estrada.search import (find_maximizer, find_maximizers,
                                       is_isomorphic, predicted_maximizer)
-from oracles import corrected_connectivity_prediction, ee_lapack
+from oracles import bipartite_graphs, corrected_connectivity_prediction, ee_lapack
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 class TestEnumeration:
     def test_order2(self):
-        graphs = list(enumerate_bipartite(2))
+        graphs = list(bipartite_graphs(2))
         assert len(graphs) == 2
         assert {g.m for g in graphs} == {0, 1}
+        report = find_maximizers("matching", 2)[0]
+        assert (report.graphs_scanned, report.class_size) == (2, 1)
 
     def test_stream_sizes(self):
-        assert sum(1 for _ in enumerate_bipartite(5)) == 2 ** 4 + 2 ** 6
-        assert sum(1 for _ in enumerate_bipartite(6)) == 2 ** 5 + 2 ** 8 + 2 ** 9
+        assert find_maximizers("matching", 5)[0].graphs_scanned == 2 ** 4 + 2 ** 6
+        assert find_maximizers("matching", 6)[1].graphs_scanned \
+            == 2 ** 5 + 2 ** 8 + 2 ** 9
 
     def test_connected_order4_contents(self):
-        graphs = list(enumerate_bipartite(4, connected_only=True))
+        graphs = list(bipartite_graphs(4, connected_only=True))
         assert all(find_bipartition(g) is not None for g in graphs)
         assert any(is_isomorphic(g, PATH4) for g in graphs)
         assert any(is_isomorphic(g, complete_bipartite(1, 3)) for g in graphs)
         assert any(is_isomorphic(g, complete_bipartite(2, 2)) for g in graphs)
         # nothing with an odd cycle can appear
         assert all(g.m <= 4 for g in graphs)
+        # the scan's connectivity classes partition the same connected stream
+        reports = find_maximizers("vertex-connectivity", 4, values=[1, 2, 3])
+        assert sum(r.class_size for r in reports) == len(graphs)
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
-            list(enumerate_bipartite(1))
+            find_maximizers("matching", 1)
         with pytest.raises(ValueError):
-            list(enumerate_bipartite(11))
+            find_maximizers("matching", 11, allow_n10=True)
 
 
 class TestIsomorphism:
@@ -77,14 +83,6 @@ class TestIsomorphism:
         big = Graph(13, [0] * 13)
         with pytest.raises(ValueError):
             is_isomorphic(big, big)
-
-
-class TestClassify:
-    def test_examples(self):
-        assert classify(complete_bipartite(2, 4), ClassDescriptor("matching", 6, 2))
-        assert classify(join_family(1, 3, 2),
-                        ClassDescriptor("vertex-connectivity", 7, 1))
-        assert not classify(PATH4, ClassDescriptor("vertex-connectivity", 4, 2))
 
 
 class TestPrediction:
@@ -145,7 +143,7 @@ class TestFindMaximizer:
 
     def test_maximizer_revalidated_in_class(self):
         for report in find_maximizers("matching", 5):
-            assert classify(report.maximizer, report.descriptor)
+            assert class_member(report.maximizer, report.descriptor)
 
     def test_descriptor_order_guard(self):
         with pytest.raises(ValueError):
@@ -164,6 +162,30 @@ class TestDeterminism:
                 assert a.runner_up_gap == b.runner_up_gap
                 assert (a.unique, a.class_size, a.near_tie_count) \
                     == (b.unique, b.class_size, b.near_tie_count)
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(search, "Pool", RecordingPool)
+        pooled = find_maximizers("matching", 5, workers=64)
+        assert started == [2]  # one batch per split: (1, 4) and (2, 3)
+        serial = find_maximizers("matching", 5, workers=1)
+        assert started == [2]
+        assert [(r.max_ee, r.maximizer) for r in pooled] \
+            == [(r.max_ee, r.maximizer) for r in serial]
 
     def test_repeat_runs_bitwise_identical(self):
         first = find_maximizers("matching", 5)
@@ -185,8 +207,8 @@ class TestExactRankingAgreement:
                         continue
                     best_key = None
                     best_graph = None
-                    for g in enumerate_bipartite(n):
-                        if not classify(g, report.descriptor):
+                    for g in bipartite_graphs(n):
+                        if not class_member(g, report.descriptor):
                             continue
                         key = tuple(_moment_run(g, 24))
                         if best_key is None or key > best_key:
