@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from .invariants import (BRUTE_FORCE_MATCHING_LIMIT, edge_connectivity,
 from .quartic import CLI_LEMMAS, sweep
 from .search import (N_DEFAULT_MAX, N_HARD_MAX, NEAR_TIE, TIE_BREAK_K_MAX,
                      find_maximizers)
-from .spectral import JACOBI_TOLERANCE, MOMENT_BUDGET, estrada, eigenvalues, moment_series
+from .spectral import (JACOBI_TOLERANCE, MOMENT_BUDGET, estrada, eigenvalues,
+                       index_from_spectrum, moment_series)
 
 
 class CliUsageError(Exception):
@@ -112,10 +114,10 @@ def _compute_report(g: Graph, tol: float) -> dict:
         "m": g.m,
         "eigenvalues": [float(x) for x in spectrum.eigenvalues],
         "nullity": spectrum.nullity,
-        "estrada_eigen": estrada(g, "eigen", tol=tol).value,
+        "estrada_eigen": index_from_spectrum(spectrum, "eigen"),
     }
     if bipartite:
-        report["estrada_cosh"] = estrada(g, "cosh", tol=tol).value
+        report["estrada_cosh"] = index_from_spectrum(spectrum, "cosh")
     series = estrada(g, "moment-series")
     report["estrada_moment_series"] = series.value
     report["error_bound"] = series.error_bound
@@ -137,8 +139,8 @@ _COMPUTE_FLAT = ["graph6", "n", "m", "nullity", "estrada_eigen", "estrada_cosh",
 
 
 def _cmd_compute(args) -> int:
-    if not args.tolerance > 0:
-        raise CliUsageError("--tolerance must be positive")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise CliUsageError("--tolerance must be finite and positive")
     graphs = _load_graphs(args)
     reports = [_compute_report(g, args.tolerance) for g in graphs]
     if args.format == "json":

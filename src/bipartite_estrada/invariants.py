@@ -214,11 +214,11 @@ def _vertex_flow(rows, n: int, s: int, t: int, cap: int) -> int:
 
 
 def _vertex_conn_rows(rows, n: int) -> int:
-    if n == 1 or not _connected_rows(rows, n):
-        return 0
-    full = (1 << n) - 1
-    if all(rows[v] == full ^ (1 << v) for v in range(n)):
-        return n - 1  # complete graph: no vertex cut, capped per definition
+    """Vertex connectivity of a connected graph given as rows.
+
+    A complete graph has no non-adjacent pair, so it keeps its minimum
+    degree ``n - 1``; the one-vertex graph gets 0.
+    """
     if _has_cut_vertex(rows, n):
         return 1
     degrees = [rows[v].bit_count() for v in range(n)]
@@ -242,10 +242,7 @@ def _edge_flow(rows, n: int, s: int, t: int, cap: int) -> int:
 
 
 def _edge_conn_rows(rows, n: int) -> int:
-    if n == 1:
-        return 0
-    if not _connected_rows(rows, n):
-        return 0
+    """Edge connectivity of a connected graph given as rows."""
     if _has_bridge(rows, n):
         return 1
     degrees = [rows[v].bit_count() for v in range(n)]
@@ -284,12 +281,13 @@ def matching_number(g: Graph) -> int:
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity; 0 for disconnected graphs and the one-vertex graph,
     capped at n - 1 (attained only by complete graphs)."""
-    return _vertex_conn_rows(g.rows, g.n)
+    return _vertex_conn_rows(g.rows, g.n) if is_connected(g) else 0
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity via minimum s-t cuts from a fixed min-degree vertex."""
-    return _edge_conn_rows(g.rows, g.n)
+    """Edge connectivity via minimum s-t cuts from a fixed min-degree vertex;
+    0 for disconnected graphs."""
+    return _edge_conn_rows(g.rows, g.n) if is_connected(g) else 0
 
 
 def class_member(g: Graph, descriptor: ClassDescriptor) -> bool:

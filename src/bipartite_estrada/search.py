@@ -5,9 +5,11 @@ The enumeration substrate iterates, for each side split ``(a, b)`` with
 ``a <= b``, every biadjacency bitmask.  Duplicates across splits and
 labelings are permitted: the index is isomorphism-invariant, so they cannot
 change any maximum, and isomorphism handling is applied only to the tiny set
-of near-maximal candidates.  Near ties (within ``NEAR_TIE``) are escalated to
-exact moment comparison; candidates still tied after ``TIE_BREAK_K_MAX``
-moments are reported as undecided rather than silently merged.
+of near-maximal candidates.  Graphs within ``NEAR_TIE`` of a class maximum
+form its halo, which is ordered by the first ``TIE_BREAK_K_MAX`` exact
+moments compared lexicographically (an order that does not yet certify the
+index order); non-isomorphic leaders of that order are reported as undecided
+rather than silently merged.
 
 Scans are deterministic by construction: work is split into fixed batches
 aligned to absolute mask indices, per-graph spectra do not depend on batch
@@ -119,99 +121,69 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Partial:
-    """Per-class scan state: running max, near-tie halo, runner-up, count."""
+    """Per-class scan state: max index, near-tie halo, runner-up, count."""
 
     __slots__ = ("count", "best", "halo", "runner")
 
-    def __init__(self):
-        self.count = 0
-        self.best: float | None = None
-        self.halo: list[tuple[float, int, int]] = []   # (ee, a, mask)
-        self.runner: float | None = None
-
-    def _fold_runner(self, ee: float) -> None:
-        if self.runner is None or ee > self.runner:
-            self.runner = ee
-
-    def add(self, ee: float, a: int, mask: int) -> None:
-        self.count += 1
-        if self.best is None:
-            self.best = ee
-            self.halo = [(ee, a, mask)]
-            return
-        if ee > self.best:
-            self.best = ee
-            kept = []
-            for entry in self.halo:
-                if entry[0] >= ee - NEAR_TIE:
-                    kept.append(entry)
-                else:
-                    self._fold_runner(entry[0])
-            kept.append((ee, a, mask))
-            self.halo = kept
-        elif ee >= self.best - NEAR_TIE:
-            self.halo.append((ee, a, mask))
-        else:
-            self._fold_runner(ee)
+    def __init__(self, count: int = 0, best: float | None = None,
+                 halo: list[tuple[float, int, int]] | None = None,
+                 runner: float | None = None):
+        self.count = count
+        self.best = best
+        self.halo = halo or []   # (ee, a, mask) within NEAR_TIE of best
+        self.runner = runner     # largest ee outside the halo
 
     def merge(self, other: "_Partial") -> None:
         self.count += other.count
         if other.best is None:
             return
-        if other.runner is not None:
-            self._fold_runner(other.runner)
-        if self.best is None:
-            self.best = other.best
-            self.halo = list(other.halo)
-            return
-        best = max(self.best, other.best)
-        kept = []
-        for entry in self.halo + other.halo:
-            if entry[0] >= best - NEAR_TIE:
-                kept.append(entry)
-            else:
-                self._fold_runner(entry[0])
+        best = other.best if self.best is None else max(self.best, other.best)
+        entries = self.halo + other.halo
+        self.halo = [e for e in entries if e[0] >= best - NEAR_TIE]
+        outside = [e[0] for e in entries if e[0] < best - NEAR_TIE]
+        outside += [r for r in (self.runner, other.runner) if r is not None]
+        self.runner = max(outside, default=None)
         self.best = best
-        self.halo = kept
 
 
 def _scan_batch(task) -> dict[int, _Partial]:
     kind, n, a, lo, hi, values = task
     b = n - a
-    ab = a * b
     masks = np.arange(lo, hi, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(ab, dtype=np.int64)) & 1
-    biadj = bits.reshape(-1, a, b).astype(np.float64)
+    bits = (masks[:, None] >> np.arange(a * b, dtype=np.int64)) & 1
+    biadj = bits.reshape(-1, a, b)
     mats = np.zeros((len(masks), n, n))
     mats[:, :a, a:] = biadj
     mats[:, a:, :a] = biadj.transpose(0, 2, 1)
     ee = np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
+    del mats
 
-    left = np.empty((len(masks), a), dtype=np.int64)
-    pow_b = 1 << np.arange(b, dtype=np.int64)
-    for i in range(a):
-        left[:, i] = (bits[:, i * b:(i + 1) * b] * pow_b).sum(axis=1) << a
-    right = np.empty((len(masks), b), dtype=np.int64)
-    pow_a = 1 << np.arange(a, dtype=np.int64)
-    for j in range(b):
-        right[:, j] = (bits[:, j::b] * pow_a).sum(axis=1)
+    left = ((masks[:, None] >> (b * np.arange(a, dtype=np.int64)))
+            & ((1 << b) - 1)) << a
+    right = (biadj << np.arange(a, dtype=np.int64)[:, None]).sum(axis=1)
+    all_rows = np.concatenate([left, right], axis=1).tolist()
 
-    partials = {value: _Partial() for value in values}
-    left_vertices = list(range(a))
-    for idx in range(len(masks)):
-        rows = [int(x) for x in left[idx]] + [int(x) for x in right[idx]]
-        if kind == "matching":
-            value = _kuhn_matching(rows, left_vertices)
-        else:
-            if not _connected_rows(rows, n):
-                continue
-            if kind == "vertex-connectivity":
-                value = _vertex_conn_rows(rows, n)
-            else:
-                value = _edge_conn_rows(rows, n)
-        partial = partials.get(value)
-        if partial is not None:
-            partial.add(float(ee[idx]), a, lo + idx)
+    if kind == "matching":
+        invariant = [_kuhn_matching(rows, range(a)) for rows in all_rows]
+    else:
+        conn = _vertex_conn_rows if kind == "vertex-connectivity" else _edge_conn_rows
+        # class values are >= 1, so disconnected graphs (0) drop out
+        invariant = [conn(rows, n) if _connected_rows(rows, n) else 0
+                     for rows in all_rows]
+    invariant = np.array(invariant)
+
+    partials = {}
+    for value in values:
+        idx = np.flatnonzero(invariant == value)
+        if not len(idx):
+            partials[value] = _Partial()
+            continue
+        sel = ee[idx]
+        best = sel.max()
+        near = sel >= best - NEAR_TIE
+        halo = [(x, a, lo + i) for x, i in zip(sel[near].tolist(), idx[near].tolist())]
+        runner = float(sel[~near].max()) if not near.all() else None
+        partials[value] = _Partial(len(idx), float(best), halo, runner)
     return partials
 
 

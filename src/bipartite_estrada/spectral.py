@@ -96,8 +96,8 @@ def eigenvalues(g: Graph, tol: float = JACOBI_TOLERANCE) -> SpectrumResult:
     The eigenvalues come from the Jacobi sweep; the nullity is ``n - rank``
     from exact integer elimination and is never read off the float spectrum.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     spectrum = _jacobi(g.adjacency_matrix(), tol, JACOBI_SWEEP_BUDGET)
     return SpectrumResult(tuple(float(x) for x in spectrum), nullity_exact(g), tol)
 
@@ -172,6 +172,21 @@ def _series_cutoff(n: int, lam_bound: float, target: float) -> int:
             raise RuntimeError("series cutoff search did not terminate")
 
 
+def index_from_spectrum(spectrum: SpectrumResult, method: str) -> float:
+    """The index from a computed spectrum by the ``eigen`` or ``cosh`` route.
+
+    ``cosh`` is ``n0 + 2 * sum cosh`` over the positive eigenvalues, which
+    holds only when the spectrum is that of a bipartite graph.
+    """
+    if method == "eigen":
+        return float(sum(math.exp(x) for x in spectrum.eigenvalues))
+    positive = (len(spectrum.eigenvalues) - spectrum.nullity) // 2
+    total = float(spectrum.nullity)
+    for x in spectrum.eigenvalues[:positive]:
+        total += 2.0 * math.cosh(x)
+    return total
+
+
 def estrada(g: Graph, method: str = "eigen", *, tol: float = JACOBI_TOLERANCE,
             series_target: float = SERIES_TARGET) -> EstradaValue:
     """Estrada index by the requested method.
@@ -182,18 +197,11 @@ def estrada(g: Graph, method: str = "eigen", *, tol: float = JACOBI_TOLERANCE,
     ``series_target``.
     """
     if method == "eigen":
-        spectrum = eigenvalues(g, tol)
-        return EstradaValue(float(sum(math.exp(x) for x in spectrum.eigenvalues)),
-                            "eigen")
+        return EstradaValue(index_from_spectrum(eigenvalues(g, tol), "eigen"), "eigen")
     if method == "cosh":
         if find_bipartition(g) is None:
             raise ValueError("the cosh identity requires a bipartite graph")
-        spectrum = eigenvalues(g, tol)
-        positive = (g.n - spectrum.nullity) // 2
-        total = float(spectrum.nullity)
-        for x in spectrum.eigenvalues[:positive]:
-            total += 2.0 * math.cosh(x)
-        return EstradaValue(total, "cosh")
+        return EstradaValue(index_from_spectrum(eigenvalues(g, tol), "cosh"), "cosh")
     if method == "moment-series":
         lam_bound = float(g.max_degree())
         cutoff = _series_cutoff(g.n, lam_bound, series_target)

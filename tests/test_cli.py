@@ -90,8 +90,9 @@ class TestCompute:
         assert code == 2
 
     def test_nonpositive_tolerance_exit2(self, capsys):
-        code, _, err = run(capsys, "compute", "--graph6", K23, "--tolerance", "0")
-        assert code == 2 and "usage error" in err
+        for tol in ("0", "inf", "nan"):
+            code, _, err = run(capsys, "compute", "--graph6", K23, "--tolerance", tol)
+            assert code == 2 and "usage error" in err
 
 
 class TestConstruct:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bipartite_estrada import search
+from bipartite_estrada import invariants, search
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, find_bipartition, from_biadjacency
 from bipartite_estrada.invariants import ClassDescriptor, class_member
@@ -186,6 +186,46 @@ class TestDeterminism:
         assert started == [2]
         assert [(r.max_ee, r.maximizer) for r in pooled] \
             == [(r.max_ee, r.maximizer) for r in serial]
+
+    @pytest.mark.parametrize("kind", ["matching", "vertex-connectivity",
+                                      "edge-connectivity"])
+    def test_batch_splits_do_not_change_partial(self, kind):
+        values = (1, 2, 3)
+
+        def scan(lo, hi):
+            return search._scan_batch((kind, 6, 3, lo, hi, values))
+
+        def merged(*parts):
+            total = {v: search._Partial() for v in values}
+            for part in parts:
+                for v in values:
+                    total[v].merge(part[v])
+            return total
+
+        whole = scan(0, 512)
+        left_fold = merged(scan(0, 1), scan(1, 37), scan(37, 200), scan(200, 201),
+                           scan(201, 512))
+        tree = merged(merged(scan(0, 300), scan(300, 301)),
+                      merged(scan(301, 511), scan(511, 512)))
+        for grouped in (left_fold, tree):
+            for v in values:
+                a, b = whole[v], grouped[v]
+                assert (a.count, a.best, a.runner, sorted(a.halo)) \
+                    == (b.count, b.best, b.runner, sorted(b.halo))
+        assert sum(whole[v].count for v in values) > 0
+
+    @pytest.mark.parametrize("kind", ["vertex-connectivity", "edge-connectivity"])
+    def test_one_connectivity_bfs_per_graph(self, kind, monkeypatch):
+        calls = {"search": 0, "invariants": 0}
+        for name, module in (("search", search), ("invariants", invariants)):
+            def counting(rows, n, name=name, original=module._connected_rows):
+                calls[name] += 1
+                return original(rows, n)
+            monkeypatch.setattr(module, "_connected_rows", counting)
+        reports = find_maximizers(kind, 6)
+        assert calls["search"] == reports[0].graphs_scanned
+        # only _finalize's class_member check on each non-empty class
+        assert calls["invariants"] == sum(not r.empty for r in reports)
 
     def test_repeat_runs_bitwise_identical(self):
         first = find_maximizers("matching", 5)

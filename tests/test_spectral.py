@@ -69,8 +69,9 @@ class TestEigenvalues:
             _jacobi(g.adjacency_matrix(), 1e-15, 2)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            eigenvalues(PATH4, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                eigenvalues(PATH4, tol=tol)
 
 
 class TestNullity:
