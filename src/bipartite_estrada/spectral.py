@@ -9,6 +9,11 @@ eigenvalues.  Three independent evaluation routes are provided:
   with the nullity ``n0`` taken from exact integer rank, never from floats;
 * ``moment-series``: the truncated series ``sum M_k / k!`` over exact integer
   closed-walk counts, with a rigorous tail bound.
+
+The closed-walk counts ``M_k = tr(A^k)`` of a bipartite graph come from the
+Gram matrix ``B B^T`` of its biadjacency matrix ``B`` over the smaller colour
+class: odd moments vanish and ``M_2j = 2 tr((B B^T)^j)`` for ``j >= 1``, while
+``M_0 = n`` (Cvetkovic, Doob and Sachs, *Spectra of Graphs*).
 """
 
 from __future__ import annotations
@@ -131,15 +136,43 @@ def nullity_exact(g: Graph) -> int:
     return g.n - _integer_rank(g.adjacency_int_rows())
 
 
+def _power_traces(s: np.ndarray, jmax: int) -> list[int]:
+    """``tr(S^j)`` for ``j = 0..jmax`` of a symmetric object-dtype integer matrix.
+
+    With ``P_i = S^i`` and symmetric ``S``, ``tr(S^(2i)) = sum(P_i * P_i)`` and
+    ``tr(S^(2i+1)) = sum(P_i * P_(i+1))`` (elementwise products), so only the
+    two powers in flight are held and about ``jmax / 2`` products are taken.
+    """
+    power = np.identity(len(s), dtype=object)
+    traces = []
+    for j in range(jmax + 1):
+        if j % 2:
+            previous, power = power, power @ s
+            traces.append(int((previous * power).sum()))
+        else:
+            traces.append(int((power * power).sum()))
+    return traces
+
+
 def _moment_run(g: Graph, k_max: int) -> list[int]:
-    """Exact closed-walk counts ``M_0 .. M_k_max`` via integer matrix powers."""
-    n = g.n
-    adjacency = np.array(g.adjacency_int_rows(), dtype=object)
-    moments = [n]
-    power = np.eye(n, dtype=int).astype(object)
-    for _ in range(k_max):
-        power = power @ adjacency
-        moments.append(int(np.trace(power)))
+    """Exact closed-walk counts ``M_0 .. M_k_max``, ``M_k = tr(A^k)``.
+
+    A bipartite graph has ``A = [[0, B], [B^T, 0]]``, so every odd moment is
+    0 and ``M_2j = 2 tr((B B^T)^j)`` for ``j >= 1``; the traces are taken of
+    the Gram matrix ``B B^T`` over the smaller colour class (any proper
+    colouring gives the same traces, since ``tr((B B^T)^j) = tr((B^T B)^j)``).
+    ``M_0 = n``, not twice the size of that class.  Other graphs take the
+    traces of ``A`` itself.
+    """
+    split = find_bipartition(g)
+    if split is None:
+        return _power_traces(np.array(g.adjacency_int_rows(), dtype=object), k_max)
+    rows = [g.rows[u] for u in sorted(min(split.side_x, split.side_y, key=len))]
+    # reshape keeps the Gram matrix of an empty class (edgeless graphs) 0 x 0
+    gram = np.array([[(r & t).bit_count() for t in rows] for r in rows],
+                    dtype=object).reshape(len(rows), len(rows))
+    moments = [g.n] + [0] * k_max
+    moments[2::2] = [2 * t for t in _power_traces(gram, k_max // 2)[1:]]
     return moments
 
 

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's production algorithms: connectivity is
 decided by subset removal, matchings by recursion over raw edge subsets, walk
-counts by explicit DFS enumeration, and spectra by numpy's LAPACK wrapper
-(the production eigensolver is a hand-rolled Jacobi sweep).  The corrected
+counts by explicit DFS enumeration, closed-walk counts by powers of the full
+adjacency matrix (production uses the bipartite Gram matrix), and spectra by
+numpy's LAPACK wrapper (the production eigensolver is a hand-rolled Jacobi
+sweep).  The corrected
 connectivity-class maximizer is derived from the paper's own comparison
 lemmas rather than taken from ``search.predicted_maximizer``.
 """
@@ -151,6 +153,18 @@ def bf_walk_count(g: Graph, u: int, v: int, k: int) -> int:
 
 def bf_closed_walks(g: Graph, k: int) -> int:
     return sum(bf_walk_count(g, v, v, k) for v in range(g.n))
+
+
+def power_moments(g: Graph, k: int) -> list[int]:
+    """Closed-walk counts ``M_0 .. M_k`` as traces of successive integer
+    powers ``A, A^2, ..., A^k`` of the full adjacency matrix."""
+    adjacency = np.array(g.adjacency_int_rows(), dtype=object)
+    power = np.identity(g.n, dtype=object)
+    moments = [g.n]
+    for _ in range(k):
+        power = power @ adjacency
+        moments.append(int(np.trace(power)))
+    return moments
 
 
 def bipartite_graphs(n: int, connected_only: bool = False):

@@ -8,13 +8,14 @@ import pytest
 
 from bipartite_estrada.families import complete_bipartite
 from bipartite_estrada.graph import Graph
+from bipartite_estrada.graph import find_bipartition
 from bipartite_estrada.spectral import (JacobiConvergenceError, _jacobi,
-                                        _integer_rank, eigenvalues, estrada,
-                                        moment_series, nullity_exact,
+                                        _integer_rank, _moment_run, eigenvalues,
+                                        estrada, moment_series, nullity_exact,
                                         spectral_moment_exact)
 from oracles import (bf_closed_walks, bipartite_graphs, ee_lapack,
-                     fraction_rank, random_bipartite, random_graph,
-                     spectrum_lapack)
+                     fraction_rank, power_moments, random_bipartite,
+                     random_graph, spectrum_lapack)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -145,6 +146,33 @@ class TestMoments:
                 approx = float((vals ** k).sum())
                 assert abs(exact - approx) <= k * g.n * 1e-6 * max(1.0, exact)
 
+    def test_kernel_matches_power_oracle(self):
+        # the Gram-matrix kernel against the full adjacency power loop
+        rng = random.Random(47)
+        non_bipartite = []
+        while len(non_bipartite) < 40:
+            g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.8))
+            if find_bipartition(g) is None:
+                non_bipartite.append(g)
+        edge_cases = [
+            Graph(1, [0]),
+            Graph(5, [0] * 5),
+            # the smaller colour class {0, 5, 6} holds the isolated vertices
+            complete_bipartite(1, 4).disjoint_union(Graph(2, [0, 0])),
+        ]
+        graphs = [g for n in range(2, 7) for g in bipartite_graphs(n)]
+        for g in graphs + non_bipartite + edge_cases:
+            want = power_moments(g, 64)
+            for k in (0, 1, 2, 3, 64):
+                assert _moment_run(g, k) == want[:k + 1]
+
+    def test_complete_bipartite_closed_form_at_large_k(self):
+        # K_{p,q} has M_2j = 2 (pq)^j for j >= 1; K_{31,31} runs to K = 128
+        moments = _moment_run(complete_bipartite(31, 31), 128)
+        assert moments[0] == 62
+        assert moments[1::2] == [0] * 64
+        assert moments[2::2] == [2 * 961 ** j for j in range(1, 65)]
+
 
 class TestEstrada:
     def test_single_edge_cosh_value(self):
@@ -176,6 +204,11 @@ class TestEstrada:
         triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         expected = math.exp(2) + 2 * math.exp(-1)
         assert estrada(triangle).value == pytest.approx(expected, abs=1e-12)
+
+    def test_moment_series_complete_bipartite_31_31(self):
+        # spectrum of K_{31,31}: +-31 and 60 zeros
+        value = estrada(complete_bipartite(31, 31), "moment-series").value
+        assert value == pytest.approx(60 + 2 * math.cosh(31), rel=1e-14)
 
     def test_series_bound_is_honest(self):
         rng = random.Random(41)
