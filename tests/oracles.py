@@ -5,9 +5,9 @@ decided by subset removal, matchings by recursion over raw edge subsets, walk
 counts by explicit DFS enumeration, closed-walk counts by powers of the full
 adjacency matrix (production uses the bipartite Gram matrix), and spectra by
 numpy's LAPACK wrapper (the production eigensolver is a hand-rolled Jacobi
-sweep).  The corrected
-connectivity-class maximizer is derived from the paper's own comparison
-lemmas rather than taken from ``search.predicted_maximizer``.
+sweep).  The corrected connectivity-class maximizer is derived from the
+paper's own comparison lemmas rather than taken from
+``search.predicted_maximizer``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from bipartite_estrada.families import complete_bipartite
-from bipartite_estrada.graph import Graph
-from bipartite_estrada.graph import find_bipartition
+from bipartite_estrada.graph import Graph, find_bipartition
 from bipartite_estrada.spectral import (JacobiConvergenceError, _jacobi,
                                         _integer_rank, _moment_run, eigenvalues,
                                         estrada, moment_series, nullity_exact,
