@@ -2,23 +2,29 @@
 index maximizer searches.
 
 The enumeration substrate iterates, for each side split ``(a, b)`` with
-``a <= b``, every biadjacency bitmask.  Duplicates across splits and
-labelings are permitted: the index is isomorphism-invariant, so they cannot
-change any maximum, and isomorphism handling is applied only to the tiny set
-of near-maximal candidates.  Graphs within ``NEAR_TIE`` of a class maximum
-form its halo, which is ordered by the first ``TIE_BREAK_K_MAX`` exact
-moments compared lexicographically (an order that does not yet certify the
-index order); non-isomorphic leaders of that order are reported as undecided
-rather than silently merged.
+``a <= b``, every multiset of ``a`` left rows out of the ``2**b`` row masks,
+once.  Permuting the left rows gives the same graph, so each multiset stands
+for its whole left-permutation orbit: it is scanned as the least biadjacency
+mask of that orbit (rows in non-increasing order from row 0) and weighted by
+the orbit size ``a!/prod(mult!)``, so class sizes and ``graphs_scanned``
+equal the counts of the labelled masks (Read 1978; McKay 1998).  Duplicates
+across splits and right-side labelings remain: the index is
+isomorphism-invariant, so they cannot change any maximum, and isomorphism
+handling is applied only to the tiny set of near-maximal candidates.  Graphs
+within ``NEAR_TIE`` of a class maximum form its halo, which is ordered by the
+first ``TIE_BREAK_K_MAX`` exact moments compared lexicographically (an order
+that does not yet certify the index order); non-isomorphic leaders of that
+order are reported as undecided rather than silently merged.
 
 Scans are deterministic by construction: work is split into fixed batches
-aligned to absolute mask indices, per-graph spectra do not depend on batch
-grouping, and merging is associative, so reports are bit-identical for any
-worker count.
+aligned to absolute multiset ranks (colex order of the combinatorial number
+system), per-graph spectra do not depend on batch grouping, and merging is
+associative, so reports are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -121,16 +127,18 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Partial:
-    """Per-class scan state: max index, near-tie halo, runner-up, count."""
+    """Per-class scan state: max index, near-tie halo, runner-up, count.
+
+    ``count`` and the halo weights count labelled graphs (orbit sizes)."""
 
     __slots__ = ("count", "best", "halo", "runner")
 
     def __init__(self, count: int = 0, best: float | None = None,
-                 halo: list[tuple[float, int, int]] | None = None,
+                 halo: list[tuple[float, int, int, int]] | None = None,
                  runner: float | None = None):
         self.count = count
         self.best = best
-        self.halo = halo or []   # (ee, a, mask) within NEAR_TIE of best
+        self.halo = halo or []   # (ee, a, mask, weight) within NEAR_TIE of best
         self.runner = runner     # largest ee outside the halo
 
     def merge(self, other: "_Partial") -> None:
@@ -146,22 +154,49 @@ class _Partial:
         self.best = best
 
 
+def _row_multisets(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and orbit weights of the multisets of ``a`` rows out of ``2**b``
+    with colex ranks ``lo .. hi - 1``.
+
+    Rank ``r`` is unranked in the combinatorial number system: the sorted
+    rows ``c_0 <= ... <= c_(a-1)`` map to the ``a``-subset ``d_i = c_i + i``
+    of ``2**b + a - 1`` points, with ``r = sum C(d_i, i + 1)``.  Rows come
+    back non-increasing from row 0, so ``sum rows[i] << (i * b)`` is the least
+    mask of the left-permutation orbit.  The weight ``a!/prod(mult!)`` is
+    ``a!`` over the product of the running run lengths.
+    """
+    x = np.arange((1 << b) + a - 1, dtype=np.int64)
+    binom = [np.ones_like(x)]
+    for k in range(1, a + 1):
+        binom.append(binom[-1] * (x - k + 1) // k)   # C(x, k), exact
+    ranks = np.arange(lo, hi, dtype=np.int64)
+    rows = np.empty((hi - lo, a), dtype=np.int64)
+    for i in range(a - 1, -1, -1):
+        d = np.searchsorted(binom[i + 1], ranks, side="right") - 1
+        ranks -= binom[i + 1][d]
+        rows[:, a - 1 - i] = d - i
+    run = np.ones(hi - lo, dtype=np.int64)
+    repeats = np.ones(hi - lo, dtype=np.int64)
+    for i in range(1, a):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        repeats *= run
+    return rows, math.factorial(a) // repeats
+
+
 def _scan_batch(task) -> dict[int, _Partial]:
     kind, n, a, lo, hi, values = task
     b = n - a
-    masks = np.arange(lo, hi, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(a * b, dtype=np.int64)) & 1
-    biadj = bits.reshape(-1, a, b)
-    mats = np.zeros((len(masks), n, n))
+    left, weights = _row_multisets(a, b, lo, hi)
+    masks = (left << (b * np.arange(a, dtype=np.int64))).sum(axis=1)
+    biadj = (left[:, :, None] >> np.arange(b, dtype=np.int64)) & 1
+    mats = np.zeros((len(left), n, n))
     mats[:, :a, a:] = biadj
     mats[:, a:, :a] = biadj.transpose(0, 2, 1)
     ee = np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
     del mats
 
-    left = ((masks[:, None] >> (b * np.arange(a, dtype=np.int64)))
-            & ((1 << b) - 1)) << a
     right = (biadj << np.arange(a, dtype=np.int64)[:, None]).sum(axis=1)
-    all_rows = np.concatenate([left, right], axis=1).tolist()
+    all_rows = np.concatenate([left << a, right], axis=1).tolist()
 
     if kind == "matching":
         invariant = [_kuhn_matching(rows, range(a)) for rows in all_rows]
@@ -181,9 +216,10 @@ def _scan_batch(task) -> dict[int, _Partial]:
         sel = ee[idx]
         best = sel.max()
         near = sel >= best - NEAR_TIE
-        halo = [(x, a, lo + i) for x, i in zip(sel[near].tolist(), idx[near].tolist())]
+        halo = [(x, a, mask, w) for x, mask, w in zip(
+            sel[near].tolist(), masks[idx[near]].tolist(), weights[idx[near]].tolist())]
         runner = float(sel[~near].max()) if not near.all() else None
-        partials[value] = _Partial(len(idx), float(best), halo, runner)
+        partials[value] = _Partial(int(weights[idx].sum()), float(best), halo, runner)
     return partials
 
 
@@ -217,7 +253,7 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
     if partial.count == 0:
         return ExtremalReport(descriptor, True, scanned, 0, duration, predicted)
     entries = sorted(partial.halo, key=lambda e: (e[1], e[2]))
-    graphs = [_graph_from_split(descriptor.n, a, mask) for _, a, mask in entries]
+    graphs = [_graph_from_split(descriptor.n, a, mask) for _, a, mask, _ in entries]
     if len(graphs) == 1:
         leaders = [0]
     else:
@@ -236,7 +272,7 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
     return ExtremalReport(
         descriptor, False, scanned, partial.count, duration, predicted,
         maximizer, max_ee, runner_gap, unique, undecided, matches,
-        near_tie_count=len(entries))
+        near_tie_count=sum(e[3] for e in entries))
 
 
 def _default_values(n: int) -> list[int]:
@@ -248,7 +284,7 @@ def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
     """Scan the order-``n`` stream once and report every requested class.
 
     One enumeration pass feeds all class values of the same kind, so the
-    invariants are computed once per stream graph.
+    invariants are computed once per scanned left-row multiset.
     """
     limit = N_HARD_MAX if allow_n10 else N_DEFAULT_MAX
     if not 2 <= n <= limit:
@@ -261,8 +297,9 @@ def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
     tasks = []
     scanned = 0
     for a in range(1, n // 2 + 1):
-        total = 1 << (a * (n - a))
-        scanned += total
+        b = n - a
+        scanned += 1 << (a * b)
+        total = math.comb((1 << b) + a - 1, a)
         for lo in range(0, total, BATCH_SIZE):
             tasks.append((kind, n, a, lo, min(lo + BATCH_SIZE, total), tuple(values)))
 

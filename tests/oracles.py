@@ -3,9 +3,11 @@
 These deliberately avoid the library's production algorithms: connectivity is
 decided by subset removal, matchings by recursion over raw edge subsets, walk
 counts by explicit DFS enumeration, closed-walk counts by powers of the full
-adjacency matrix (production uses the bipartite Gram matrix), and spectra by
+adjacency matrix (production uses the bipartite Gram matrix), spectra by
 numpy's LAPACK wrapper (the production eigensolver is a hand-rolled Jacobi
-sweep).  The corrected connectivity-class maximizer is derived from the
+sweep), and class maximizer scans over every labelled biadjacency mask
+(production scans one mask per left-row multiset, weighted by its orbit
+size).  The corrected connectivity-class maximizer is derived from the
 paper's own comparison lemmas rather than taken from
 ``search.predicted_maximizer``.
 """
@@ -16,8 +18,12 @@ import itertools
 
 import numpy as np
 
+from bipartite_estrada import search
 from bipartite_estrada.families import join_family
 from bipartite_estrada.graph import Graph, bit_indices, from_biadjacency
+from bipartite_estrada.invariants import (ClassDescriptor, _connected_rows,
+                                          _edge_conn_rows, _kuhn_matching,
+                                          _vertex_conn_rows)
 
 
 def ee_lapack(g: Graph) -> float:
@@ -165,6 +171,68 @@ def power_moments(g: Graph, k: int) -> list[int]:
         power = power @ adjacency
         moments.append(int(np.trace(power)))
     return moments
+
+
+def _labelled_scan_batch(kind: str, n: int, a: int, lo: int, hi: int,
+                         values) -> dict:
+    """Class partials of the biadjacency masks ``lo .. hi - 1`` of split
+    ``(a, n - a)``, each mask scanned as its own graph with weight 1."""
+    b = n - a
+    masks = np.arange(lo, hi, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(a * b, dtype=np.int64)) & 1
+    biadj = bits.reshape(-1, a, b)
+    mats = np.zeros((len(masks), n, n))
+    mats[:, :a, a:] = biadj
+    mats[:, a:, :a] = biadj.transpose(0, 2, 1)
+    ee = np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
+
+    left = ((masks[:, None] >> (b * np.arange(a, dtype=np.int64)))
+            & ((1 << b) - 1)) << a
+    right = (biadj << np.arange(a, dtype=np.int64)[:, None]).sum(axis=1)
+    all_rows = np.concatenate([left, right], axis=1).tolist()
+    if kind == "matching":
+        invariant = [_kuhn_matching(rows, range(a)) for rows in all_rows]
+    else:
+        conn = _vertex_conn_rows if kind == "vertex-connectivity" else _edge_conn_rows
+        invariant = [conn(rows, n) if _connected_rows(rows, n) else 0
+                     for rows in all_rows]
+    invariant = np.array(invariant)
+
+    partials = {}
+    for value in values:
+        idx = np.flatnonzero(invariant == value)
+        if not len(idx):
+            partials[value] = search._Partial()
+            continue
+        sel = ee[idx]
+        best = sel.max()
+        near = sel >= best - search.NEAR_TIE
+        halo = [(x, a, lo + i, 1)
+                for x, i in zip(sel[near].tolist(), idx[near].tolist())]
+        runner = float(sel[~near].max()) if not near.all() else None
+        partials[value] = search._Partial(len(idx), float(best), halo, runner)
+    return partials
+
+
+def labelled_maximizers(kind: str, n: int, values=None) -> list:
+    """``search.find_maximizers`` by the labelled scan: every biadjacency
+    mask of every split ``(a, n - a)``, ``1 <= a <= n/2``, in batches of
+    ``search.BATCH_SIZE`` masks, merged and finalized by the engine's own
+    ``_Partial`` and ``_finalize``."""
+    values = list(range(1, n // 2 + 1)) if values is None else list(values)
+    merged = {value: search._Partial() for value in values}
+    scanned = 0
+    for a in range(1, n // 2 + 1):
+        total = 1 << (a * (n - a))
+        scanned += total
+        for lo in range(0, total, search.BATCH_SIZE):
+            hi = min(lo + search.BATCH_SIZE, total)
+            for value, part in _labelled_scan_batch(kind, n, a, lo, hi,
+                                                    values).items():
+                merged[value].merge(part)
+    return [search._finalize(ClassDescriptor(kind, n, value), merged[value],
+                             scanned, 0.0)
+            for value in values]
 
 
 def bipartite_graphs(n: int, connected_only: bool = False):

@@ -1,17 +1,22 @@
 """Scan stream, isomorphism, and the class maximizer scans."""
 
+import itertools
 import math
 import random
+
+import numpy as np
 
 import pytest
 
 from bipartite_estrada import invariants, search
 from bipartite_estrada.families import complete_bipartite, join_family
-from bipartite_estrada.graph import Graph, find_bipartition, from_biadjacency
+from bipartite_estrada.graph import (Graph, emit_graph6, find_bipartition,
+                                     from_biadjacency)
 from bipartite_estrada.invariants import ClassDescriptor, class_member
 from bipartite_estrada.search import (find_maximizer, find_maximizers,
                                       is_isomorphic, predicted_maximizer)
-from oracles import bipartite_graphs, corrected_connectivity_prediction, ee_lapack
+from oracles import (bipartite_graphs, corrected_connectivity_prediction,
+                     ee_lapack, labelled_maximizers)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -46,6 +51,60 @@ class TestEnumeration:
             find_maximizers("matching", 1)
         with pytest.raises(ValueError):
             find_maximizers("matching", 11, allow_n10=True)
+
+
+class TestRowMultisets:
+    SPLITS = [(a, b) for a in range(1, 5) for b in range(a, 21) if a * b <= 20]
+
+    @pytest.mark.parametrize("a,b", SPLITS)
+    def test_ranks_cover_every_left_orbit_once(self, a, b):
+        total = math.comb(2 ** b + a - 1, a)
+        rows, weights = search._row_multisets(a, b, 0, total)
+        shifts = b * np.arange(a, dtype=np.int64)
+        masks = (rows << shifts).sum(axis=1)
+        assert len(np.unique(masks)) == total
+        assert ((0 <= rows) & (rows < 2 ** b)).all()
+        orbit = np.stack([(rows[:, list(perm)] << shifts).sum(axis=1)
+                          for perm in itertools.permutations(range(a))], axis=1)
+        # the scanned mask is the least of its left-row permutations ...
+        assert (masks == orbit.min(axis=1)).all()
+        # ... and its weight is the number of distinct permuted masks
+        orbit.sort(axis=1)
+        sizes = 1 + (np.diff(orbit, axis=1) != 0).sum(axis=1)
+        assert (weights == sizes).all()
+        assert int(weights.sum()) == 2 ** (a * b)
+        rng = random.Random(a * 100 + b)
+        for _ in range(3):
+            lo = rng.randrange(total)
+            hi = rng.randrange(lo, total) + 1
+            part_rows, part_weights = search._row_multisets(a, b, lo, hi)
+            assert (part_rows == rows[lo:hi]).all()
+            assert (part_weights == weights[lo:hi]).all()
+
+
+class TestLabelledOracle:
+    @pytest.mark.parametrize("kind", ["matching", "vertex-connectivity",
+                                      "edge-connectivity"])
+    def test_multiset_scan_matches_labelled_scan(self, kind):
+        fields = ("class_size", "graphs_scanned", "near_tie_count", "empty",
+                  "unique", "uniqueness_undecided", "matches_prediction",
+                  "max_ee")
+        for n in range(2, 9):
+            for got, want in zip(find_maximizers(kind, n),
+                                 labelled_maximizers(kind, n)):
+                assert got.descriptor == want.descriptor
+                for field in fields:
+                    assert getattr(got, field) == getattr(want, field), \
+                        (got.descriptor, field)
+                if want.empty:
+                    assert got.maximizer is None and got.runner_up_gap is None
+                    continue
+                assert emit_graph6(got.maximizer) == emit_graph6(want.maximizer)
+                if want.runner_up_gap is None:
+                    assert got.runner_up_gap is None
+                else:
+                    assert got.runner_up_gap == pytest.approx(
+                        want.runner_up_gap, rel=0, abs=1e-12 * want.max_ee)
 
 
 class TestIsomorphism:
@@ -202,11 +261,12 @@ class TestDeterminism:
                     total[v].merge(part[v])
             return total
 
-        whole = scan(0, 512)
-        left_fold = merged(scan(0, 1), scan(1, 37), scan(37, 200), scan(200, 201),
-                           scan(201, 512))
-        tree = merged(merged(scan(0, 300), scan(300, 301)),
-                      merged(scan(301, 511), scan(511, 512)))
+        # (3, 3) has C(2**3 + 2, 3) = 120 row multisets
+        whole = scan(0, 120)
+        left_fold = merged(scan(0, 1), scan(1, 17), scan(17, 70), scan(70, 71),
+                           scan(71, 120))
+        tree = merged(merged(scan(0, 64), scan(64, 65)),
+                      merged(scan(65, 119), scan(119, 120)))
         for grouped in (left_fold, tree):
             for v in values:
                 a, b = whole[v], grouped[v]
@@ -223,7 +283,9 @@ class TestDeterminism:
                 return original(rows, n)
             monkeypatch.setattr(module, "_connected_rows", counting)
         reports = find_maximizers(kind, 6)
-        assert calls["search"] == reports[0].graphs_scanned
+        # one BFS per scanned row multiset, the representative of its orbit
+        assert calls["search"] == sum(math.comb(2 ** (6 - a) + a - 1, a)
+                                      for a in range(1, 4))
         # only _finalize's class_member check on each non-empty class
         assert calls["invariants"] == sum(not r.empty for r in reports)
 
