@@ -24,8 +24,8 @@ from .families import (CoverPartition, JoinFamilyParams, collapsed_cover_graph,
 from .quartic import (ComparisonVerdict, QuarticForm, complete_bipartite_ee,
                       complete_split_deficit, ee_closed_form, quartic_roots,
                       side_swap_gain, transfer_gain)
-from .search import (ExtremalReport, find_maximizer, find_maximizers,
-                     is_isomorphic, predicted_maximizer)
+from .search import (ExtremalReport, find_maximizers, is_isomorphic,
+                     predicted_maximizer)
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "ComparisonVerdict", "QuarticForm", "complete_bipartite_ee",
     "complete_split_deficit", "ee_closed_form", "quartic_roots",
     "side_swap_gain", "transfer_gain",
-    "ExtremalReport", "find_maximizer", "find_maximizers", "is_isomorphic",
+    "ExtremalReport", "find_maximizers", "is_isomorphic",
     "predicted_maximizer",
 ]

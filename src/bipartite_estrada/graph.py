@@ -92,9 +92,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bit_indices(self.rows[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
                 if (self.rows[i] >> j) & 1]

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .families import JoinFamilyParams
-
 
 @dataclass(frozen=True)
 class QuarticForm:

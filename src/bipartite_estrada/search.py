@@ -11,10 +11,13 @@ equal the counts of the labelled masks (Read 1978; McKay 1998).  Duplicates
 across splits and right-side labelings remain: the index is
 isomorphism-invariant, so they cannot change any maximum, and isomorphism
 handling is applied only to the tiny set of near-maximal candidates.  Graphs
-within ``NEAR_TIE`` of a class maximum form its halo, which is ordered by the
-first ``TIE_BREAK_K_MAX`` exact moments compared lexicographically (an order
-that does not yet certify the index order); non-isomorphic leaders of that
-order are reported as undecided rather than silently merged.
+within ``NEAR_TIE`` of a class maximum form its halo, which is decided by
+exact checks only.  The leader is the halo entry with the least ``(a, mask)``;
+the class is ``unique`` when every entry is isomorphic to it.  An entry that
+is not isomorphic but has the leader's moments ``M_0 .. M_n`` is cospectral
+with it (Newton's identities turn the power sums into the characteristic
+polynomial), so the two indices are equal and the class is decidedly not
+unique.  Any other non-isomorphic entry leaves the class undecided.
 
 Scans are deterministic by construction: work is split into fixed batches
 aligned to absolute multiset ranks (colex order of the combinatorial number
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Sequence
@@ -39,7 +43,6 @@ from .invariants import (ClassDescriptor, _connected_rows, _edge_conn_rows,
 from .spectral import _moment_run
 
 NEAR_TIE = 1e-6
-TIE_BREAK_K_MAX = 64
 BATCH_SIZE = 1 << 14
 N_DEFAULT_MAX = 9
 N_HARD_MAX = 10
@@ -163,8 +166,11 @@ def _row_multisets(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     of ``2**b + a - 1`` points, with ``r = sum C(d_i, i + 1)``.  Rows come
     back non-increasing from row 0, so ``sum rows[i] << (i * b)`` is the least
     mask of the left-permutation orbit.  The weight ``a!/prod(mult!)`` is
-    ``a!`` over the product of the running run lengths.
+    ``a!`` over the product of the running run lengths.  Ranks outside
+    ``0 .. C(2**b + a - 1, a)`` raise ``ValueError``.
     """
+    if not 0 <= lo <= hi <= math.comb((1 << b) + a - 1, a):
+        raise ValueError(f"multiset ranks {lo}..{hi} out of range for split ({a}, {b})")
     x = np.arange((1 << b) + a - 1, dtype=np.int64)
     binom = [np.ones_like(x)]
     for k in range(1, a + 1):
@@ -253,20 +259,16 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
     if partial.count == 0:
         return ExtremalReport(descriptor, True, scanned, 0, duration, predicted)
     entries = sorted(partial.halo, key=lambda e: (e[1], e[2]))
-    graphs = [_graph_from_split(descriptor.n, a, mask) for _, a, mask, _ in entries]
-    if len(graphs) == 1:
-        leaders = [0]
-    else:
-        keys = [tuple(_moment_run(g, TIE_BREAK_K_MAX)) for g in graphs]
-        best_key = max(keys)
-        leaders = [i for i, key in enumerate(keys) if key == best_key]
-    maximizer = graphs[leaders[0]]
-    all_isomorphic = all(is_isomorphic(maximizer, graphs[i]) for i in leaders[1:])
-    unique = all_isomorphic
-    undecided = not all_isomorphic
+    n = descriptor.n
+    graphs = [_graph_from_split(n, a, mask) for _, a, mask, _ in entries]
+    maximizer = graphs[0]
+    rivals = [g for g in graphs[1:] if not is_isomorphic(maximizer, g)]
+    moments = _moment_run(maximizer, n) if rivals else None
+    unique = not rivals
+    undecided = any(_moment_run(g, n) != moments for g in rivals)
     if not class_member(maximizer, descriptor):
         raise AssertionError("scan produced a maximizer outside its class")
-    max_ee = entries[leaders[0]][0]
+    max_ee = entries[0][0]
     runner_gap = None if partial.runner is None else max_ee - partial.runner
     matches = None if predicted is None else is_isomorphic(maximizer, predicted)
     return ExtremalReport(
@@ -305,24 +307,12 @@ def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
 
     started = time.perf_counter()
     merged = {value: _Partial() for value in values}
-    if workers <= 1:
-        results = map(_scan_batch, tasks)
+    with Pool(processes=min(workers, len(tasks))) if workers > 1 else nullcontext() as pool:
+        results = map(_scan_batch, tasks) if pool is None else pool.imap(_scan_batch, tasks)
         for result in results:
             for value, part in result.items():
                 merged[value].merge(part)
-    else:
-        with Pool(processes=min(workers, len(tasks))) as pool:
-            for result in pool.imap(_scan_batch, tasks):
-                for value, part in result.items():
-                    merged[value].merge(part)
     duration = time.perf_counter() - started
 
     return [_finalize(d, merged[d.value], scanned, duration) for d in descriptors]
 
-
-def find_maximizer(descriptor: ClassDescriptor, workers: int = 1,
-                   allow_n10: bool = False) -> ExtremalReport:
-    """Exhaustive maximizer search for a single class."""
-    reports = find_maximizers(descriptor.kind, descriptor.n, [descriptor.value],
-                              workers=workers, allow_n10=allow_n10)
-    return reports[0]

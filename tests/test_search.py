@@ -13,8 +13,8 @@ from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import (Graph, emit_graph6, find_bipartition,
                                      from_biadjacency)
 from bipartite_estrada.invariants import ClassDescriptor, class_member
-from bipartite_estrada.search import (find_maximizer, find_maximizers,
-                                      is_isomorphic, predicted_maximizer)
+from bipartite_estrada.search import (find_maximizers, is_isomorphic,
+                                      predicted_maximizer)
 from oracles import (bipartite_graphs, corrected_connectivity_prediction,
                      ee_lapack, labelled_maximizers)
 
@@ -81,6 +81,13 @@ class TestRowMultisets:
             assert (part_rows == rows[lo:hi]).all()
             assert (part_weights == weights[lo:hi]).all()
 
+    def test_rank_range_checked(self):
+        # (3, 3) has C(2**3 + 2, 3) = 120 row multisets
+        search._row_multisets(3, 3, 0, 120)
+        for lo, hi in ((0, 512), (0, 121), (-1, 5), (7, 6)):
+            with pytest.raises(ValueError):
+                search._row_multisets(3, 3, lo, hi)
+
 
 class TestLabelledOracle:
     @pytest.mark.parametrize("kind", ["matching", "vertex-connectivity",
@@ -105,6 +112,54 @@ class TestLabelledOracle:
                 else:
                     assert got.runner_up_gap == pytest.approx(
                         want.runner_up_gap, rel=0, abs=1e-12 * want.max_ee)
+
+
+class TestHaloRule:
+    """``_finalize`` decides a halo by isomorphism and cospectrality alone."""
+
+    @staticmethod
+    def finalize(descriptor, halo):
+        # halo entries are (ee, a, mask) with weight 1
+        entries = [(ee, a, mask, 1) for ee, a, mask in halo]
+        partial = search._Partial(len(entries), max(e[0] for e in entries),
+                                  entries)
+        return search._finalize(descriptor, partial, len(entries), 0.0)
+
+    def test_isomorphic_copies_are_unique(self):
+        # the 6-cycle in three labellings of the (3, 3) split
+        masks = [0b011_110_101, 0b101_011_110, 0b110_101_011]
+        ee = ee_lapack(search._graph_from_split(6, 3, masks[0]))
+        report = self.finalize(ClassDescriptor("matching", 6, 3),
+                               [(ee, 3, mask) for mask in masks])
+        assert (report.unique, report.uniqueness_undecided) == (True, False)
+        assert emit_graph6(report.maximizer) \
+            == emit_graph6(search._graph_from_split(6, 3, min(masks)))
+
+    def test_cospectral_rival_is_decided_not_unique(self):
+        # the Saltire pair: K_{1,4} and C_4 + K_1 share the spectrum (+-2, 0^3)
+        star = search._graph_from_split(5, 1, 15)
+        square = search._graph_from_split(5, 2, 27)
+        assert is_isomorphic(star, complete_bipartite(1, 4))
+        assert not is_isomorphic(star, square)
+        ee = ee_lapack(star)
+        report = self.finalize(ClassDescriptor("matching", 5, 1),
+                               [(ee, 2, 27), (ee, 1, 15)])
+        assert report.maximizer == star
+        assert (report.unique, report.uniqueness_undecided) == (False, False)
+
+    def test_non_cospectral_rival_is_undecided(self):
+        # the lexicographic moment order ranked FBjC? (m = 7) above the
+        # star K_{1,6} (m = 6), whose index is larger
+        star = search._graph_from_split(7, 1, 63)
+        rival = search._graph_from_split(7, 3, 862)
+        assert (emit_graph6(star), emit_graph6(rival)) == ("FsaC?", "FBjC?")
+        assert ee_lapack(star) > ee_lapack(rival)
+        report = self.finalize(ClassDescriptor("vertex-connectivity", 7, 1),
+                               [(ee_lapack(rival), 3, 862),
+                                (ee_lapack(star), 1, 63)])
+        assert emit_graph6(report.maximizer) == "FsaC?"
+        assert report.max_ee == ee_lapack(star)
+        assert (report.unique, report.uniqueness_undecided) == (False, True)
 
 
 class TestIsomorphism:
@@ -159,7 +214,7 @@ class TestPrediction:
 
 class TestFindMaximizer:
     def test_matching_six_two(self):
-        report = find_maximizer(ClassDescriptor("matching", 6, 2))
+        report = find_maximizers("matching", 6, [2])[0]
         assert is_isomorphic(report.maximizer, complete_bipartite(2, 4))
         assert report.unique and report.matches_prediction
         assert report.max_ee == pytest.approx(4 + 2 * math.cosh(math.sqrt(8)),
@@ -167,20 +222,20 @@ class TestFindMaximizer:
         assert report.runner_up_gap > 0
 
     def test_matching_runner_up_gap(self):
-        report = find_maximizer(ClassDescriptor("matching", 4, 2))
+        report = find_maximizers("matching", 4, [2])[0]
         # best is the 4-cycle, runner-up the path
         assert is_isomorphic(report.maximizer, complete_bipartite(2, 2))
         expected_gap = ee_lapack(complete_bipartite(2, 2)) - ee_lapack(PATH4)
         assert report.runner_up_gap == pytest.approx(expected_gap, abs=1e-9)
 
     def test_connectivity_seven_one(self):
-        report = find_maximizer(ClassDescriptor("vertex-connectivity", 7, 1))
+        report = find_maximizers("vertex-connectivity", 7, [1])[0]
         assert is_isomorphic(report.maximizer, join_family(1, 3, 2))
         assert report.unique and report.matches_prediction
 
     def test_edge_connectivity_six_two_beats_stated_prediction(self):
         # the scan refutes the stated formula here: the complete split wins
-        report = find_maximizer(ClassDescriptor("edge-connectivity", 6, 2))
+        report = find_maximizers("edge-connectivity", 6, [2])[0]
         assert is_isomorphic(report.maximizer, complete_bipartite(2, 4))
         assert report.unique
         assert report.matches_prediction is False
@@ -188,7 +243,7 @@ class TestFindMaximizer:
             > ee_lapack(join_family(2, 2, 1))
 
     def test_empty_class(self):
-        report = find_maximizer(ClassDescriptor("vertex-connectivity", 5, 3))
+        report = find_maximizers("vertex-connectivity", 5, [3])[0]
         assert report.empty and report.class_size == 0
         assert report.maximizer is None
 
@@ -206,7 +261,7 @@ class TestFindMaximizer:
 
     def test_descriptor_order_guard(self):
         with pytest.raises(ValueError):
-            find_maximizer(ClassDescriptor("matching", 10, 2))
+            find_maximizers("matching", 10, [2])[0]
 
 
 class TestDeterminism:
