@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Tour of the spectral toolkit: eigenvalues, exact nullity, and the index
-computed by three independent routes.
+computed by three routes.
 
 The index of a graph is sum(exp(eigenvalue)) over the adjacency spectrum.
 For bipartite graphs it can also be written as nullity + 2*sum(cosh) over the
 positive eigenvalues, and as the everywhere-convergent series
-sum_k (closed walks of length k) / k!.  The three routes share no code paths,
-which makes their agreement a strong self-check.
+sum_k (closed walks of length k) / k!.  The routes are not independent:
+``eigen`` and ``cosh`` read the same Jacobi spectrum, and the exact nullity
+that ``cosh`` adds comes from the same integer trace kernel as the closed-walk
+counts of ``moment-series``.  Their agreement checks the Jacobi spectrum
+against exact integer data.
 """
 
 import math

@@ -1,20 +1,19 @@
 """Estrada index machinery for bipartite graphs.
 
 A numpy-based library for the index ``sum(exp(eigenvalue))`` on small
-bipartite graphs: exact closed-walk counts, three independent index
+bipartite graphs: exact closed-walk counts and nullity, three index
 evaluations, constructors for the extremal families, closed-form analysis of
 the apex join family, and exhaustive verification of class-constrained
 maximizers with uniqueness up to isomorphism.
 """
 
 from .graph import (Bipartition, Graph, Graph6Error, emit_graph6,
-                    find_bipartition, from_biadjacency, is_bipartite,
-                    parse_graph6)
+                    find_bipartition, from_biadjacency, parse_graph6)
 from .invariants import (ClassDescriptor, class_member, edge_connectivity,
                          is_connected, matching_number, vertex_connectivity)
 from .spectral import (EstradaValue, JacobiConvergenceError, MomentSeries,
                        SpectrumResult, eigenvalues, estrada, moment_series,
-                       nullity_exact, spectral_moment_exact)
+                       nullity_exact)
 from .walks import (DominanceReport, IdentificationScheme, TwinCheck,
                     WalkCountTable, dominance_check, identify_union,
                     twin_check, walk_counts)
@@ -31,12 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition", "Graph", "Graph6Error", "emit_graph6", "find_bipartition",
-    "from_biadjacency", "is_bipartite", "parse_graph6",
+    "from_biadjacency", "parse_graph6",
     "ClassDescriptor", "class_member", "edge_connectivity", "is_connected",
     "matching_number", "vertex_connectivity",
     "EstradaValue", "JacobiConvergenceError", "MomentSeries", "SpectrumResult",
     "eigenvalues", "estrada", "moment_series", "nullity_exact",
-    "spectral_moment_exact",
     "DominanceReport", "IdentificationScheme", "TwinCheck", "WalkCountTable",
     "dominance_check", "identify_union", "twin_check", "walk_counts",
     "CoverPartition", "JoinFamilyParams", "collapsed_cover_graph",

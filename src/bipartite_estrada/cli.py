@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .families import CLI_FAMILIES, build_cli_family
+from .families import CLI_FAMILIES, CLI_FAMILY_TABLE, build_cli_family
 from .graph import Graph, Graph6Error, emit_graph6, find_bipartition, parse_graph6
 from .invariants import (BRUTE_FORCE_MATCHING_LIMIT, edge_connectivity,
                          matching_number, vertex_connectivity)
@@ -174,17 +174,8 @@ def _cmd_compute(args) -> int:
 # construct
 # ---------------------------------------------------------------------------
 
-_FAMILY_PARAMS = {
-    "complete-bipartite": ("p", "q"),
-    "join": ("s", "p", "q"),
-    "join-double": ("s", "n1", "n2", "m1", "m2"),
-    "g-star": ("x1", "x2", "y1", "y2"),
-    "g-double-star": ("x1", "x2", "y1", "y2"),
-}
-
-
 def _cmd_construct(args) -> int:
-    needed = _FAMILY_PARAMS[args.family]
+    needed, _ = CLI_FAMILY_TABLE[args.family]
     kw = {}
     for name in needed:
         value = getattr(args, name)

@@ -34,9 +34,6 @@ class JoinFamilyParams:
     def n(self) -> int:
         return self.s + self.p + self.q + 1
 
-    def build(self) -> Graph:
-        return join_family(self.s, self.p, self.q)
-
 
 @dataclass(frozen=True)
 class CoverPartition:
@@ -154,20 +151,22 @@ def collapsed_cover_graph(partition: CoverPartition) -> Graph:
     return Graph.from_edges(p.n, edges)
 
 
-# family names exposed on the command line
-CLI_FAMILIES = ("complete-bipartite", "join", "join-double", "g-star", "g-double-star")
+# family name on the command line -> (parameter names in order, constructor)
+CLI_FAMILY_TABLE = {
+    "complete-bipartite": (("p", "q"), complete_bipartite),
+    "join": (("s", "p", "q"), join_family),
+    "join-double": (("s", "n1", "n2", "m1", "m2"), join_family_double),
+    "g-star": (("x1", "x2", "y1", "y2"),
+               lambda *sizes: saturated_cover_graph(CoverPartition(*sizes))),
+    "g-double-star": (("x1", "x2", "y1", "y2"),
+                      lambda *sizes: collapsed_cover_graph(CoverPartition(*sizes))),
+}
+CLI_FAMILIES = tuple(CLI_FAMILY_TABLE)
 
 
 def build_cli_family(name: str, **kw) -> Graph:
     """Construct a family instance from CLI-style keyword parameters."""
-    if name == "complete-bipartite":
-        return complete_bipartite(kw["p"], kw["q"])
-    if name == "join":
-        return join_family(kw["s"], kw["p"], kw["q"])
-    if name == "join-double":
-        return join_family_double(kw["s"], kw["n1"], kw["n2"], kw["m1"], kw["m2"])
-    if name == "g-star":
-        return saturated_cover_graph(CoverPartition(kw["x1"], kw["x2"], kw["y1"], kw["y2"]))
-    if name == "g-double-star":
-        return collapsed_cover_graph(CoverPartition(kw["x1"], kw["x2"], kw["y1"], kw["y2"]))
-    raise ValueError(f"unknown family {name!r}")
+    if name not in CLI_FAMILY_TABLE:
+        raise ValueError(f"unknown family {name!r}")
+    params, construct = CLI_FAMILY_TABLE[name]
+    return construct(*(kw[p] for p in params))

@@ -83,9 +83,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def min_degree(self) -> int:
-        return min(self.degree(v) for v in range(self.n))
-
     def max_degree(self) -> int:
         return max(self.degree(v) for v in range(self.n))
 
@@ -96,19 +93,6 @@ class Graph:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
                 if (self.rows[i] >> j) & 1]
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if not (self.rows[i] >> j) & 1]
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        """Return a copy with edge ``uv`` added."""
-        if u == v:
-            raise ValueError("cannot add a self-loop")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, rows)
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
         rows = [0] * self.n
@@ -116,12 +100,6 @@ class Graph:
             for w in bit_indices(self.rows[v]):
                 rows[perm[v]] |= 1 << perm[w]
         return Graph(self.n, rows)
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        """Disjoint union; ``other``'s vertices are shifted past ``self``'s."""
-        shift = self.n
-        rows = list(self.rows) + [r << shift for r in other.rows]
-        return Graph(self.n + other.n, rows)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense float64 adjacency matrix."""
@@ -195,10 +173,6 @@ def find_bipartition(g: Graph) -> Bipartition | None:
     side_x = frozenset(v for v in range(g.n) if color[v] == 0)
     side_y = frozenset(v for v in range(g.n) if color[v] == 1)
     return Bipartition(side_x, side_y)
-
-
-def is_bipartite(g: Graph) -> bool:
-    return find_bipartition(g) is not None
 
 
 def _upper_triangle_pairs(n: int) -> Iterator[tuple[int, int]]:

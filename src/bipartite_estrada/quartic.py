@@ -26,15 +26,6 @@ class QuarticForm:
     x1: float         # larger positive root
     x2: float         # smaller positive root (0 when q == 0)
 
-    @property
-    def r(self) -> float:
-        return self.x1
-
-    @property
-    def k(self) -> float:
-        """Root product; equals sqrt(p*q*s)."""
-        return self.x1 * self.x2
-
 
 def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
     """Positive roots of ``x**4 - c2 x**2 + c0``, evaluated stably.

@@ -1,19 +1,24 @@
 """Eigenvalues, exact spectral moments, and the Estrada index three ways.
 
 The index of a graph is the sum of the exponentials of its adjacency
-eigenvalues.  Three independent evaluation routes are provided:
+eigenvalues.  Three evaluation routes are provided:
 
 * ``eigen``: a cyclic Jacobi eigensolver (bit-reproducible, no external
   linear-algebra dependency beyond numpy array arithmetic);
 * ``cosh``: the bipartite identity ``n0 + 2 * sum cosh(positive eigenvalues)``
-  with the nullity ``n0`` taken from exact integer rank, never from floats;
+  with the nullity ``n0`` read off the exact integer characteristic
+  polynomial, never from floats;
 * ``moment-series``: the truncated series ``sum M_k / k!`` over exact integer
   closed-walk counts, with a rigorous tail bound.
 
-The closed-walk counts ``M_k = tr(A^k)`` of a bipartite graph come from the
-Gram matrix ``B B^T`` of its biadjacency matrix ``B`` over the smaller colour
-class: odd moments vanish and ``M_2j = 2 tr((B B^T)^j)`` for ``j >= 1``, while
-``M_0 = n`` (Cvetkovic, Doob and Sachs, *Spectra of Graphs*).
+Every exact quantity comes from one primitive, the power traces
+``tr(S^j)`` of a symmetric integer matrix ``S``.  For a bipartite graph ``S``
+is the Gram matrix ``B B^T`` of its biadjacency matrix ``B`` over the smaller
+colour class: odd moments vanish and ``M_2j = 2 tr((B B^T)^j)`` for
+``j >= 1``, while ``M_0 = n`` (Cvetkovic, Doob and Sachs, *Spectra of
+Graphs*).  Other graphs take ``S = A``.  Newton's identities turn the traces
+``j <= d`` (``d`` the order of ``S``) into the characteristic polynomial,
+which gives the rank of ``S`` and, by Cayley-Hamilton, every later trace.
 """
 
 from __future__ import annotations
@@ -98,42 +103,13 @@ def _jacobi(matrix: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
 def eigenvalues(g: Graph, tol: float = JACOBI_TOLERANCE) -> SpectrumResult:
     """Adjacency spectrum sorted descending, with exact nullity.
 
-    The eigenvalues come from the Jacobi sweep; the nullity is ``n - rank``
-    from exact integer elimination and is never read off the float spectrum.
+    The eigenvalues come from the Jacobi sweep; the nullity comes from the
+    exact characteristic polynomial and is never read off the float spectrum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
     spectrum = _jacobi(g.adjacency_matrix(), tol, JACOBI_SWEEP_BUDGET)
     return SpectrumResult(tuple(float(x) for x in spectrum), nullity_exact(g), tol)
-
-
-def _integer_rank(mat: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev_pivot = 1
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            row_r = m[r]
-            row_p = m[rank]
-            for c in range(col, ncols):
-                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev_pivot
-        prev_pivot = pivot
-        rank += 1
-    return rank
-
-
-def nullity_exact(g: Graph) -> int:
-    """Multiplicity of eigenvalue zero: ``n - rank``, rank computed exactly."""
-    return g.n - _integer_rank(g.adjacency_int_rows())
 
 
 def _power_traces(s: np.ndarray, jmax: int) -> list[int]:
@@ -154,33 +130,74 @@ def _power_traces(s: np.ndarray, jmax: int) -> list[int]:
     return traces
 
 
-def _moment_run(g: Graph, k_max: int) -> list[int]:
-    """Exact closed-walk counts ``M_0 .. M_k_max``, ``M_k = tr(A^k)``.
+def _trace_kernel(g: Graph) -> tuple[np.ndarray, bool]:
+    """The symmetric integer matrix ``S`` whose power traces give the moments.
 
-    A bipartite graph has ``A = [[0, B], [B^T, 0]]``, so every odd moment is
-    0 and ``M_2j = 2 tr((B B^T)^j)`` for ``j >= 1``; the traces are taken of
-    the Gram matrix ``B B^T`` over the smaller colour class (any proper
-    colouring gives the same traces, since ``tr((B B^T)^j) = tr((B^T B)^j)``).
-    ``M_0 = n``, not twice the size of that class.  Other graphs take the
-    traces of ``A`` itself.
+    For a bipartite graph ``S = B B^T`` over the smaller colour class (any
+    proper colouring gives the same traces, since ``tr((B B^T)^j) =
+    tr((B^T B)^j)``), with entries ``(rows[u] & rows[v]).bit_count()``;
+    otherwise ``S = A``.  The flag says which.
     """
     split = find_bipartition(g)
     if split is None:
-        return _power_traces(np.array(g.adjacency_int_rows(), dtype=object), k_max)
+        return np.array(g.adjacency_int_rows(), dtype=object), False
     rows = [g.rows[u] for u in sorted(min(split.side_x, split.side_y, key=len))]
     # reshape keeps the Gram matrix of an empty class (edgeless graphs) 0 x 0
     gram = np.array([[(r & t).bit_count() for t in rows] for r in rows],
                     dtype=object).reshape(len(rows), len(rows))
+    return gram, True
+
+
+def _char_poly(traces: list[int]) -> list[int]:
+    """Coefficients ``e_0 .. e_j`` from power traces ``t_0 .. t_j``.
+
+    ``e_k`` is the k-th elementary symmetric function of the eigenvalues, so
+    ``det(xI - S) = sum (-1)^k e_k x^(d-k)``; Newton's identities
+    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) t_i`` divide exactly.
+    """
+    e = [1]
+    for k in range(1, len(traces)):
+        total = sum(e[k - i] * traces[i] * (1 if i % 2 else -1)
+                    for i in range(1, k + 1))
+        e.append(total // k)
+    return e
+
+
+def nullity_exact(g: Graph) -> int:
+    """Multiplicity of eigenvalue zero, from the exact characteristic polynomial.
+
+    ``S`` is symmetric, so its rank is the largest ``k`` with ``e_k != 0``.
+    A bipartite graph has ``rank(A) = 2 rank(B) = 2 rank(B B^T)``.
+    """
+    s, bipartite = _trace_kernel(g)
+    e = _char_poly(_power_traces(s, len(s)))
+    rank = max(k for k, c in enumerate(e) if c)
+    return g.n - (2 * rank if bipartite else rank)
+
+
+def _moment_run(g: Graph, k_max: int) -> list[int]:
+    """Exact closed-walk counts ``M_0 .. M_k_max``, ``M_k = tr(A^k)``.
+
+    A bipartite graph has ``A = [[0, B], [B^T, 0]]``, so every odd moment is
+    0 and ``M_2j = 2 tr((B B^T)^j)`` for ``j >= 1``; ``M_0 = n``, not twice
+    the size of the Gram matrix's colour class.  Other graphs take the traces
+    of ``A`` itself.  Traces are multiplied out only up to the order ``d`` of
+    ``S``; later ones follow from Cayley-Hamilton,
+    ``t_k = sum_{i=1..d} (-1)^(i-1) e_i t_(k-i)``.
+    """
+    s, bipartite = _trace_kernel(g)
+    d = len(s)
+    jmax = k_max // 2 if bipartite else k_max
+    traces = _power_traces(s, min(jmax, d))
+    e = _char_poly(traces)
+    for k in range(len(traces), jmax + 1):
+        traces.append(sum(e[i] * traces[k - i] * (1 if i % 2 else -1)
+                          for i in range(1, d + 1)))
+    if not bipartite:
+        return traces
     moments = [g.n] + [0] * k_max
-    moments[2::2] = [2 * t for t in _power_traces(gram, k_max // 2)[1:]]
+    moments[2::2] = [2 * t for t in traces[1:]]
     return moments
-
-
-def spectral_moment_exact(g: Graph, k: int) -> int:
-    """Number of closed walks of length ``k`` (trace of the k-th power)."""
-    if not 0 <= k <= MOMENT_BUDGET:
-        raise ValueError(f"moment order must be in 0..{MOMENT_BUDGET}")
-    return _moment_run(g, k)[k]
 
 
 def moment_series(g: Graph, k_max: int) -> MomentSeries:

@@ -20,7 +20,8 @@ import numpy as np
 
 from bipartite_estrada import search
 from bipartite_estrada.families import join_family
-from bipartite_estrada.graph import Graph, bit_indices, from_biadjacency
+from bipartite_estrada.graph import (Graph, bit_indices, find_bipartition,
+                                     from_biadjacency)
 from bipartite_estrada.invariants import (ClassDescriptor, _connected_rows,
                                           _edge_conn_rows, _kuhn_matching,
                                           _vertex_conn_rows)
@@ -249,6 +250,16 @@ def bipartite_graphs(n: int, connected_only: bool = False):
                 yield g
 
 
+def bipartite_supergraphs(g: Graph):
+    """``((u, v), g + uv)`` for each non-edge ``uv`` of ``g`` whose addition
+    leaves the graph bipartite, in increasing ``(u, v)`` order."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.has_edge(u, v):
+            bigger = Graph.from_edges(g.n, g.edges() + [(u, v)])
+            if find_bipartition(bigger) is not None:
+                yield (u, v), bigger
+
+
 def all_graphs(n: int):
     """Every labeled simple graph on n vertices (use only for n <= 6)."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -258,7 +269,8 @@ def all_graphs(n: int):
 
 
 def fraction_rank(mat) -> int:
-    """Rank over exact rationals; cross-check for the integer elimination."""
+    """Rank over exact rationals by Gauss-Jordan elimination; cross-check for
+    the nullity read off the characteristic polynomial."""
     from fractions import Fraction
     m = [[Fraction(x) for x in row] for row in mat]
     nrows = len(m)

@@ -62,7 +62,6 @@ class TestJoinFamily:
         with pytest.raises(ValueError):
             JoinFamilyParams(1, -1, 0)
         assert JoinFamilyParams(2, 3, 1).n == 7
-        assert JoinFamilyParams(2, 3, 1).build() == join_family(2, 3, 1)
 
     def test_predicted_family_connectivity_grid(self):
         # the family instance used as the class prediction has both

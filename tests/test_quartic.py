@@ -37,7 +37,7 @@ class TestRoots:
             for q in range(0, 13):
                 for s in range(1, 13):
                     form = quartic_roots(p, q, s)
-                    assert abs(form.k - math.sqrt(p * q * s)) < 1e-10
+                    assert abs(form.x1 * form.x2 - math.sqrt(p * q * s)) < 1e-10
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

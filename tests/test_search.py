@@ -189,9 +189,9 @@ class TestIsomorphism:
         second = from_biadjacency(3, 3, [[1, 0, 1], [1, 1, 0], [0, 1, 1]])
         assert is_isomorphic(first, second)
         # invariant fingerprints agree too
-        from bipartite_estrada.spectral import spectral_moment_exact
+        from bipartite_estrada.spectral import moment_series
         for k in range(9):
-            assert spectral_moment_exact(first, k) == spectral_moment_exact(second, k)
+            assert moment_series(first, k).moments[k] == moment_series(second, k).moments[k]
 
     def test_size_guard(self):
         big = Graph(13, [0] * 13)
@@ -352,22 +352,16 @@ class TestDeterminism:
 
 
 class TestExactRankingAgreement:
-    def test_moment_primary_ranking_selects_same_class(self):
-        # ranking class members by exact moment sequences (instead of float
-        # index values) must pick the same isomorphism class as the scan
-        from bipartite_estrada.spectral import _moment_run
+    def test_lapack_index_maximum_selects_same_class(self):
+        # the class member of largest LAPACK index, taken over the labelled
+        # stream, must lie in the isomorphism class the scan reports
         for n in (4, 5):
             for kind in ("matching", "vertex-connectivity"):
                 reports = find_maximizers(kind, n)
                 for report in reports:
                     if report.empty or not report.unique:
                         continue
-                    best_key = None
-                    best_graph = None
-                    for g in bipartite_graphs(n):
-                        if not class_member(g, report.descriptor):
-                            continue
-                        key = tuple(_moment_run(g, 24))
-                        if best_key is None or key > best_key:
-                            best_key, best_graph = key, g
+                    members = [g for g in bipartite_graphs(n)
+                               if class_member(g, report.descriptor)]
+                    best_graph = max(members, key=ee_lapack)
                     assert is_isomorphic(best_graph, report.maximizer)

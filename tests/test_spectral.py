@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from bipartite_estrada.families import complete_bipartite
-from bipartite_estrada.graph import Graph, find_bipartition
+from bipartite_estrada.graph import Graph, find_bipartition, from_biadjacency
 from bipartite_estrada.spectral import (JacobiConvergenceError, _jacobi,
-                                        _integer_rank, _moment_run, eigenvalues,
-                                        estrada, moment_series, nullity_exact,
-                                        spectral_moment_exact)
-from oracles import (bf_closed_walks, bipartite_graphs, ee_lapack,
-                     fraction_rank, power_moments, random_bipartite,
+                                        _moment_run, eigenvalues, estrada,
+                                        moment_series, nullity_exact)
+from oracles import (bf_closed_walks, bipartite_graphs, bipartite_supergraphs,
+                     ee_lapack, fraction_rank, power_moments, random_bipartite,
                      random_graph, spectrum_lapack)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+# K_{1,4} plus two isolated vertices: the smaller colour class {0, 5, 6}
+# holds the isolated vertices
+STAR_PLUS_TWO = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4)])
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
@@ -86,12 +88,22 @@ class TestNullity:
     def test_empty(self):
         assert nullity_exact(Graph(6, [0] * 6)) == 6
 
-    def test_integer_rank_vs_fraction_rank(self):
+    def test_nullity_vs_fraction_rank(self):
         rng = random.Random(17)
-        for _ in range(100):
-            n = rng.randint(1, 8)
-            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            assert _integer_rank(mat) == fraction_rank(mat)
+        graphs = [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+                  for _ in range(100)]
+        graphs += [random_bipartite(rng, 12, rng.uniform(0.1, 0.9))
+                   for _ in range(100)]
+        graphs += [
+            Graph(1, [0]),
+            Graph(6, [0] * 6),
+            STAR_PLUS_TWO,
+            # two equal left rows, so rank B < a
+            from_biadjacency(3, 3, [[1, 1, 0], [1, 1, 0], [0, 1, 1]]),
+        ]
+        for g in graphs:
+            assert nullity_exact(g) == g.n - fraction_rank(g.adjacency_int_rows())
+        assert nullity_exact(complete_bipartite(31, 31)) == 60
 
     def test_float_hint_agrees_at_desk_scale(self):
         # the Jacobi spectrum's near-zero count matches the exact nullity
@@ -107,25 +119,25 @@ class TestMoments:
         rng = random.Random(29)
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 10), 0.5)
-            assert spectral_moment_exact(g, 2) == 2 * g.m
+            assert moment_series(g, 2).moments[2] == 2 * g.m
 
     def test_complete_bipartite_fourth(self):
-        assert spectral_moment_exact(complete_bipartite(2, 3), 4) == 72
+        assert moment_series(complete_bipartite(2, 3), 4).moments[4] == 72
 
     def test_path4_fourth(self):
         assert bf_closed_walks(PATH4, 4) == 14
-        assert spectral_moment_exact(PATH4, 4) == 14
+        assert moment_series(PATH4, 4).moments[4] == 14
 
     def test_against_walk_enumeration(self):
         rng = random.Random(31)
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 6), 0.5)
             for k in range(6):
-                assert spectral_moment_exact(g, k) == bf_closed_walks(g, k)
+                assert moment_series(g, k).moments[k] == bf_closed_walks(g, k)
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            spectral_moment_exact(PATH4, 65)
+            moment_series(PATH4, 65)
         with pytest.raises(ValueError):
             moment_series(PATH4, -1)
 
@@ -141,7 +153,7 @@ class TestMoments:
             g = random_graph(rng, rng.randint(2, 10), 0.4)
             vals = spectrum_lapack(g)
             for k in range(1, 9):
-                exact = spectral_moment_exact(g, k)
+                exact = moment_series(g, k).moments[k]
                 approx = float((vals ** k).sum())
                 assert abs(exact - approx) <= k * g.n * 1e-6 * max(1.0, exact)
 
@@ -156,8 +168,7 @@ class TestMoments:
         edge_cases = [
             Graph(1, [0]),
             Graph(5, [0] * 5),
-            # the smaller colour class {0, 5, 6} holds the isolated vertices
-            complete_bipartite(1, 4).disjoint_union(Graph(2, [0, 0])),
+            STAR_PLUS_TWO,
         ]
         graphs = [g for n in range(2, 7) for g in bipartite_graphs(n)]
         for g in graphs + non_bipartite + edge_cases:
@@ -232,22 +243,18 @@ class TestCompareExact:
     def test_cospectral_mates_detected(self):
         # the classic pair: a 4-star and a 4-cycle plus isolated vertex
         star = complete_bipartite(1, 4)
-        square_plus_point = complete_bipartite(2, 2).disjoint_union(Graph(1, [0]))
+        square_plus_point = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3)])
         expected = [5, 0, 8, 0, 32, 0, 128, 0, 512]
         for k, want in enumerate(expected):
-            assert spectral_moment_exact(star, k) == want
-            assert spectral_moment_exact(square_plus_point, k) == want
+            assert moment_series(star, k).moments[k] == want
+            assert moment_series(square_plus_point, k).moments[k] == want
 
 
 class TestEdgeMonotonicity:
     def test_index_strictly_grows_small(self):
         # adding any bipartiteness-preserving non-edge strictly increases the index
-        from bipartite_estrada.graph import find_bipartition
         for n in range(2, 6):
             for g in bipartite_graphs(n):
                 base = estrada(g).value
-                for u, v in g.non_edges():
-                    bigger = g.with_edge(u, v)
-                    if find_bipartition(bigger) is None:
-                        continue
+                for _, bigger in bipartite_supergraphs(g):
                     assert estrada(bigger).value > base
