@@ -288,8 +288,8 @@ def _cmd_verify(args) -> int:
         raise CliUsageError("--n-min must be at least 2")
     if args.n_max < args.n_min:
         raise CliUsageError("--n-max must be >= --n-min")
-    if args.n_max > N_DEFAULT_MAX and not args.allow_n10:
-        raise CliUsageError(f"orders above {N_DEFAULT_MAX} need --allow-n10")
+    if args.n_max > N_DEFAULT_MAX and not args.allow_n12:
+        raise CliUsageError(f"orders above {N_DEFAULT_MAX} need --allow-n12")
     if args.n_max > N_HARD_MAX:
         raise CliUsageError(f"--n-max must be at most {N_HARD_MAX}")
     if args.threads < 1:
@@ -298,7 +298,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for n in range(args.n_min, args.n_max + 1):
         reports += find_maximizers(kind, n, workers=args.threads,
-                                   allow_n10=args.allow_n10)
+                                   allow_n12=args.allow_n12)
     failing = [r for r in reports if not r.empty and not r.verified]
     payload = {
         "theorem": args.theorem,
@@ -390,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=sorted(_THEOREM_KINDS), required=True)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--allow-n10", action="store_true",
-                   help="permit order-10 scans (1,534,640 left-row multisets, "
-                        "376,992 of them in the (5,5) split)")
+    p.add_argument("--allow-n12", action="store_true",
+                   help="permit order-12 scans (416,032 S_a x S_b orbits, "
+                        "against 39,379 at order 11)")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="JSON report path; CSV and timing sidecars "
                                  "are written next to it")

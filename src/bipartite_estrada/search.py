@@ -1,32 +1,53 @@
 """Exhaustive enumeration of small bipartite graphs and class-constrained
 index maximizer searches.
 
-The enumeration substrate iterates, for each side split ``(a, b)`` with
-``a <= b``, every multiset of ``a`` left rows out of the ``2**b`` row masks,
-once.  Permuting the left rows gives the same graph, so each multiset stands
-for its whole left-permutation orbit: it is scanned as the least biadjacency
-mask of that orbit (rows in non-increasing order from row 0) and weighted by
-the orbit size ``a!/prod(mult!)``, so class sizes and ``graphs_scanned``
-equal the counts of the labelled masks (Read 1978; McKay 1998).  Duplicates
-across splits and right-side labelings remain: the index is
+The enumeration substrate is an orderly generator of ``S_a x S_b`` orbit
+representatives (Read 1978; McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  For each side split ``(a, b)`` with ``a <= b``, a
+graph is written as ``b`` columns, each an ``a``-bit mask over the smaller
+side, sorted non-decreasing.  Such a tuple is canonical iff no row
+permutation ``s`` in ``S_a`` gives a lexicographically smaller sorted image.
+Dropping the last (largest) column of a canonical tuple leaves a canonical
+tuple, so the tuples grow one column at a time, each new column at least the
+last, and a non-canonical prefix is dropped at once.  The test runs on an
+``a! x 2**a`` table of permuted columns, built once per ``a`` on first use.
+Each representative is weighted by its orbit size ``(a!/|stab|) *
+(b!/prod(mult!))``, where ``|stab|`` counts the ``s`` whose sorted image is
+the tuple itself and ``mult`` are the column multiplicities, so class sizes,
+``near_tie_count`` and ``graphs_scanned`` equal the counts of the labelled
+biadjacency masks.  When ``a = b`` a graph and its transpose are two orbits
+and both are scanned.  Duplicates across splits remain: the index is
 isomorphism-invariant, so they cannot change any maximum, and isomorphism
-handling is applied only to the tiny set of near-maximal candidates.  Graphs
-within ``NEAR_TIE`` of a class maximum form its halo, which is decided by
-exact checks only.  The leader is the halo entry with the least ``(a, mask)``;
-the class is ``unique`` when every entry is isomorphic to it.  An entry that
-is not isomorphic but has the leader's moments ``M_0 .. M_n`` is cospectral
-with it (Newton's identities turn the power sums into the characteristic
-polynomial), so the two indices are equal and the class is decidedly not
-unique.  Any other non-isomorphic entry leaves the class undecided.
+handling is applied only to the tiny set of near-maximal candidates.
 
-Scans are deterministic by construction: work is split into fixed batches
-aligned to absolute multiset ranks (colex order of the combinatorial number
-system), per-graph spectra do not depend on batch grouping, and merging is
-associative, so reports are bit-identical for any worker count.
+Graphs within ``NEAR_TIE`` of a class maximum form its halo.  Halo
+membership and the choice of runner-up rest on the scan's batched floats;
+evaluation routes differ by at most about 4e-15 relative, against a halo
+width of 1e-6, so only a graph that close to the edge could move.  The
+payload floats do not depend on the scan: ``_finalize`` maps each halo entry
+and the runner-up to the least row-major labelled mask of its graph (the
+least over the ``a!`` row orders of the mask with its columns sorted
+non-increasing, row ``a - 1`` most significant, and over the transpose too
+when ``a = b``) and evaluates the index of the leader and of the runner-up
+by one ``eigvalsh`` call on the ``n x n`` adjacency matrix.  The halo is
+decided by exact checks only.  The leader is the entry with the least
+``(a, mask)``; the class is ``unique`` when every entry is isomorphic to it.
+An entry that is not isomorphic but has the leader's moments ``M_0 .. M_n``
+is cospectral with it (Newton's identities turn the power sums into the
+characteristic polynomial), so the two indices are equal and the class is
+decidedly not unique.  Any other non-isomorphic entry leaves the class
+undecided.
+
+Scans are deterministic by construction: each task is the subtree under a
+fixed range of canonical prefixes of one split, the tasks are merged in
+task order, per-graph spectra do not depend on batch grouping, and merging
+is associative, so reports are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from contextlib import nullcontext
@@ -44,9 +65,12 @@ from .spectral import _moment_run
 
 NEAR_TIE = 1e-6
 BATCH_SIZE = 1 << 14
-N_DEFAULT_MAX = 9
-N_HARD_MAX = 10
+N_DEFAULT_MAX = 11
+N_HARD_MAX = 12
 ISO_LIMIT = 12
+PREFIX_DEPTH = 2          # columns fixed by a task's prefixes
+PREFIXES_PER_TASK = 4
+_CHUNK_ELEMENTS = 1 << 20  # permuted columns held at once by the canonicity test
 
 
 def _graph_from_split(n: int, a: int, mask: int) -> Graph:
@@ -126,6 +150,97 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# orderly generation of S_a x S_b orbit representatives
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _row_perms(a: int) -> np.ndarray:
+    """``table[s, c]``: column mask ``c`` with its ``a`` bits (rows) moved by
+    the ``s``-th permutation of ``S_a``; row 0 is the identity.  Entries fit
+    in ``uint8`` for ``a <= 8``, which keeps the canonicity test cheap."""
+    cols = np.arange(1 << a, dtype=np.int64)
+    table = np.zeros((math.factorial(a), 1 << a), dtype=np.int64)
+    for s, perm in enumerate(itertools.permutations(range(a))):
+        for i, p in enumerate(perm):
+            table[s] |= ((cols >> i) & 1) << p
+    return table.astype(np.uint8)
+
+
+def _insert_last(images: list[np.ndarray]) -> None:
+    """Move the last of ``images`` down to its place among the others, which
+    are sorted elementwise (one compare-exchange pass)."""
+    for i in range(len(images) - 1, 0, -1):
+        low, high = images[i - 1], images[i]
+        images[i - 1], images[i] = np.minimum(low, high), np.maximum(low, high)
+
+
+def _extend(tuples: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical one-column extensions of canonical column tuples, in
+    lexicographic order, and ``|stab|`` of each.
+
+    A tuple is compared with each sorted image as one integer key, first
+    column most significant.  A parent's sorted images are built once; each
+    child's image inserts the permuted new column into them.
+    """
+    table = _row_perms(a)
+    count, k = tuples.shape
+    shifts = a * np.arange(k, -1, -1, dtype=np.int64)
+    per_chunk = max(1, _CHUNK_ELEMENTS // (len(table) << a))
+    children, stabs = [np.empty((0, k + 1), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start in range(0, count, per_chunk):
+        parents = tuples[start:start + per_chunk]
+        images: list[np.ndarray] = []
+        for j in range(k):
+            images.append(table[:, parents[:, j]])
+            _insert_last(images)
+        last = parents[:, -1] if k else np.zeros(len(parents), dtype=np.int64)
+        width = (1 << a) - last
+        owner = np.repeat(np.arange(len(parents)), width)
+        offset = np.repeat(np.cumsum(width) - width - last, width)
+        col = np.arange(len(owner)) - offset
+        child = np.concatenate([parents[owner], col[:, None]], axis=1)
+        images = [image[:, owner] for image in images] + [table[:, col]]
+        _insert_last(images)
+        image_keys = sum(image.astype(np.int64) << shift
+                         for image, shift in zip(images, shifts))
+        keys = (child << shifts).sum(axis=1)
+        keep = (image_keys >= keys).all(axis=0)
+        children.append(child[keep])
+        stabs.append((image_keys == keys).sum(axis=0)[keep])
+    return np.concatenate(children), np.concatenate(stabs)
+
+
+@functools.lru_cache(maxsize=None)
+def _prefixes(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical tuples of ``min(PREFIX_DEPTH, b)`` columns, with ``|stab|``."""
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    stab = np.array([math.factorial(a)])
+    for _ in range(min(PREFIX_DEPTH, b)):
+        tuples, stab = _extend(tuples, a)
+    return tuples, stab
+
+
+def _orbits(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and orbit weights of the canonical ``b``-column tuples under
+    the prefixes ``lo .. hi - 1`` of split ``(a, b)``, in lexicographic order.
+
+    Prefix indices outside ``0 .. len(_prefixes(a, b))`` raise ``ValueError``.
+    """
+    prefixes, stab = _prefixes(a, b)
+    if not 0 <= lo <= hi <= len(prefixes):
+        raise ValueError(f"prefixes {lo}..{hi} out of range for split ({a}, {b})")
+    columns, stab = prefixes[lo:hi], stab[lo:hi]
+    for _ in range(b - prefixes.shape[1]):
+        columns, stab = _extend(columns, a)
+    run = np.ones(len(columns), dtype=np.int64)
+    repeats = np.ones(len(columns), dtype=np.int64)
+    for j in range(1, b):
+        run = np.where(columns[:, j] == columns[:, j - 1], run + 1, 1)
+        repeats *= run
+    return columns, (math.factorial(a) // stab) * (math.factorial(b) // repeats)
+
+
+# ---------------------------------------------------------------------------
 # scan engine
 # ---------------------------------------------------------------------------
 
@@ -138,11 +253,11 @@ class _Partial:
 
     def __init__(self, count: int = 0, best: float | None = None,
                  halo: list[tuple[float, int, int, int]] | None = None,
-                 runner: float | None = None):
+                 runner: tuple[float, int, int] | None = None):
         self.count = count
         self.best = best
         self.halo = halo or []   # (ee, a, mask, weight) within NEAR_TIE of best
-        self.runner = runner     # largest ee outside the halo
+        self.runner = runner     # largest (ee, a, mask) outside the halo
 
     def merge(self, other: "_Partial") -> None:
         self.count += other.count
@@ -151,59 +266,27 @@ class _Partial:
         best = other.best if self.best is None else max(self.best, other.best)
         entries = self.halo + other.halo
         self.halo = [e for e in entries if e[0] >= best - NEAR_TIE]
-        outside = [e[0] for e in entries if e[0] < best - NEAR_TIE]
+        outside = [e[:3] for e in entries if e[0] < best - NEAR_TIE]
         outside += [r for r in (self.runner, other.runner) if r is not None]
         self.runner = max(outside, default=None)
         self.best = best
 
 
-def _row_multisets(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and orbit weights of the multisets of ``a`` rows out of ``2**b``
-    with colex ranks ``lo .. hi - 1``.
-
-    Rank ``r`` is unranked in the combinatorial number system: the sorted
-    rows ``c_0 <= ... <= c_(a-1)`` map to the ``a``-subset ``d_i = c_i + i``
-    of ``2**b + a - 1`` points, with ``r = sum C(d_i, i + 1)``.  Rows come
-    back non-increasing from row 0, so ``sum rows[i] << (i * b)`` is the least
-    mask of the left-permutation orbit.  The weight ``a!/prod(mult!)`` is
-    ``a!`` over the product of the running run lengths.  Ranks outside
-    ``0 .. C(2**b + a - 1, a)`` raise ``ValueError``.
-    """
-    if not 0 <= lo <= hi <= math.comb((1 << b) + a - 1, a):
-        raise ValueError(f"multiset ranks {lo}..{hi} out of range for split ({a}, {b})")
-    x = np.arange((1 << b) + a - 1, dtype=np.int64)
-    binom = [np.ones_like(x)]
-    for k in range(1, a + 1):
-        binom.append(binom[-1] * (x - k + 1) // k)   # C(x, k), exact
-    ranks = np.arange(lo, hi, dtype=np.int64)
-    rows = np.empty((hi - lo, a), dtype=np.int64)
-    for i in range(a - 1, -1, -1):
-        d = np.searchsorted(binom[i + 1], ranks, side="right") - 1
-        ranks -= binom[i + 1][d]
-        rows[:, a - 1 - i] = d - i
-    run = np.ones(hi - lo, dtype=np.int64)
-    repeats = np.ones(hi - lo, dtype=np.int64)
-    for i in range(1, a):
-        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
-        repeats *= run
-    return rows, math.factorial(a) // repeats
-
-
-def _scan_batch(task) -> dict[int, _Partial]:
-    kind, n, a, lo, hi, values = task
+def _scan_graphs(kind: str, n: int, a: int, columns: np.ndarray,
+                 weights: np.ndarray, values) -> dict[int, _Partial]:
+    """Class partials of the split-``(a, n - a)`` graphs given as columns."""
     b = n - a
-    left, weights = _row_multisets(a, b, lo, hi)
-    masks = (left << (b * np.arange(a, dtype=np.int64))).sum(axis=1)
-    biadj = (left[:, :, None] >> np.arange(b, dtype=np.int64)) & 1
-    mats = np.zeros((len(left), n, n))
+    row = np.arange(a, dtype=np.int64)[:, None]
+    biadj = (columns[:, None, :] >> row) & 1
+    masks = (biadj << (b * row + np.arange(b, dtype=np.int64))).sum(axis=(1, 2))
+    mats = np.zeros((len(columns), n, n))
     mats[:, :a, a:] = biadj
     mats[:, a:, :a] = biadj.transpose(0, 2, 1)
     ee = np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
     del mats
 
-    right = (biadj << np.arange(a, dtype=np.int64)[:, None]).sum(axis=1)
-    all_rows = np.concatenate([left << a, right], axis=1).tolist()
-
+    left = (biadj << np.arange(b, dtype=np.int64)).sum(axis=2)
+    all_rows = np.concatenate([left << a, columns], axis=1).tolist()
     if kind == "matching":
         invariant = [_kuhn_matching(rows, range(a)) for rows in all_rows]
     else:
@@ -224,9 +307,50 @@ def _scan_batch(task) -> dict[int, _Partial]:
         near = sel >= best - NEAR_TIE
         halo = [(x, a, mask, w) for x, mask, w in zip(
             sel[near].tolist(), masks[idx[near]].tolist(), weights[idx[near]].tolist())]
-        runner = float(sel[~near].max()) if not near.all() else None
+        runner = None
+        if not near.all():
+            top = sel[~near].max()
+            runner = (float(top), a, int(masks[idx[sel == top]].max()))
         partials[value] = _Partial(int(weights[idx].sum()), float(best), halo, runner)
     return partials
+
+
+def _scan_batch(task) -> dict[int, _Partial]:
+    """Class partials of the subtree under one range of prefixes of a split."""
+    kind, n, a, lo, hi, values = task
+    columns, weights = _orbits(a, n - a, lo, hi)
+    partials = {value: _Partial() for value in values}
+    for start in range(0, len(columns), BATCH_SIZE):
+        part = _scan_graphs(kind, n, a, columns[start:start + BATCH_SIZE],
+                            weights[start:start + BATCH_SIZE], values)
+        for value in values:
+            partials[value].merge(part[value])
+    return partials
+
+
+def _least_mask(n: int, a: int, mask: int) -> int:
+    """The least row-major labelled mask of the split-``(a, n - a)`` graph
+    with mask ``mask``: over the ``a!`` row orders, the mask with columns
+    sorted non-increasing (row ``a - 1`` most significant), and over the
+    transpose too when ``a = b``."""
+    b = n - a
+    row = np.arange(a, dtype=np.int64)[:, None]
+    bits = (mask >> (b * row + np.arange(b, dtype=np.int64))) & 1
+    place = b * row + np.arange(b, dtype=np.int64)
+    least = None
+    for view in ([bits, bits.T] if a == b else [bits]):
+        columns = (view << row).sum(axis=0)
+        images = -np.sort(-_row_perms(a)[:, columns].astype(np.int64), axis=1)
+        masks = (((images[:, None, :] >> row) & 1) << place).sum(axis=(1, 2))
+        least = int(masks.min()) if least is None else min(least, int(masks.min()))
+    return least
+
+
+def _reference_ee(n: int, a: int, mask: int) -> float:
+    """The index by one ``eigvalsh`` call on the ``n x n`` adjacency matrix
+    of the split-``(a, n - a)`` mask, left vertices first."""
+    return float(np.exp(np.linalg.eigvalsh(
+        _graph_from_split(n, a, mask).adjacency_matrix())).sum())
 
 
 @dataclass
@@ -258,9 +382,9 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
     predicted = predicted_maximizer(descriptor)
     if partial.count == 0:
         return ExtremalReport(descriptor, True, scanned, 0, duration, predicted)
-    entries = sorted(partial.halo, key=lambda e: (e[1], e[2]))
     n = descriptor.n
-    graphs = [_graph_from_split(n, a, mask) for _, a, mask, _ in entries]
+    keys = sorted({(a, _least_mask(n, a, mask)) for _, a, mask, _ in partial.halo})
+    graphs = [_graph_from_split(n, a, mask) for a, mask in keys]
     maximizer = graphs[0]
     rivals = [g for g in graphs[1:] if not is_isomorphic(maximizer, g)]
     moments = _moment_run(maximizer, n) if rivals else None
@@ -268,13 +392,16 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
     undecided = any(_moment_run(g, n) != moments for g in rivals)
     if not class_member(maximizer, descriptor):
         raise AssertionError("scan produced a maximizer outside its class")
-    max_ee = entries[0][0]
-    runner_gap = None if partial.runner is None else max_ee - partial.runner
+    max_ee = _reference_ee(n, *keys[0])
+    runner_gap = None
+    if partial.runner is not None:
+        _, a, mask = partial.runner
+        runner_gap = max_ee - _reference_ee(n, a, _least_mask(n, a, mask))
     matches = None if predicted is None else is_isomorphic(maximizer, predicted)
     return ExtremalReport(
         descriptor, False, scanned, partial.count, duration, predicted,
         maximizer, max_ee, runner_gap, unique, undecided, matches,
-        near_tie_count=sum(e[3] for e in entries))
+        near_tie_count=sum(e[3] for e in partial.halo))
 
 
 def _default_values(n: int) -> list[int]:
@@ -282,15 +409,16 @@ def _default_values(n: int) -> list[int]:
 
 
 def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
-                    workers: int = 1, allow_n10: bool = False) -> list[ExtremalReport]:
+                    workers: int = 1, allow_n12: bool = False) -> list[ExtremalReport]:
     """Scan the order-``n`` stream once and report every requested class.
 
     One enumeration pass feeds all class values of the same kind, so the
-    invariants are computed once per scanned left-row multiset.
+    invariants are computed once per scanned orbit representative.
     """
-    limit = N_HARD_MAX if allow_n10 else N_DEFAULT_MAX
+    limit = N_HARD_MAX if allow_n12 else N_DEFAULT_MAX
     if not 2 <= n <= limit:
-        raise ValueError(f"order must be in 2..{limit} (n = 10 needs allow_n10)")
+        raise ValueError(f"order must be in 2..{limit} "
+                         f"(n = {N_HARD_MAX} needs allow_n12)")
     if values is None:
         values = _default_values(n)
     values = list(values)
@@ -301,9 +429,10 @@ def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
     for a in range(1, n // 2 + 1):
         b = n - a
         scanned += 1 << (a * b)
-        total = math.comb((1 << b) + a - 1, a)
-        for lo in range(0, total, BATCH_SIZE):
-            tasks.append((kind, n, a, lo, min(lo + BATCH_SIZE, total), tuple(values)))
+        total = len(_prefixes(a, b)[0])
+        for lo in range(0, total, PREFIXES_PER_TASK):
+            tasks.append((kind, n, a, lo, min(lo + PREFIXES_PER_TASK, total),
+                          tuple(values)))
 
     started = time.perf_counter()
     merged = {value: _Partial() for value in values}
@@ -315,4 +444,3 @@ def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
     duration = time.perf_counter() - started
 
     return [_finalize(d, merged[d.value], scanned, duration) for d in descriptors]
-

@@ -148,6 +148,30 @@ def _trace_kernel(g: Graph) -> tuple[np.ndarray, bool]:
     return gram, True
 
 
+_last_run: list = [None, None, False, []]  # graph, S, flag, traces
+
+
+def _kernel_traces(g: Graph, k_max: int) -> tuple[list[int], bool, int]:
+    """``tr(S^j)`` for ``j <= min(jmax, d)`` of the graph's trace kernel
+    ``S`` of order ``d``, with the kernel flag and ``d``; ``jmax`` is
+    ``k_max // 2`` for a bipartite graph (its odd moments vanish), else
+    ``k_max``.
+
+    The longest run of the last graph asked for is kept.  ``compute`` takes
+    the nullity (every trace up to ``d``) and then the moment series of the
+    same graph, so it multiplies the traces out once.  Every value depends
+    on ``g`` alone, so the kept run changes no result.
+    """
+    if _last_run[0] != g:
+        s, bipartite = _trace_kernel(g)
+        _last_run[:] = [g, s, bipartite, []]
+    _, s, bipartite, traces = _last_run
+    jmax = min(k_max // 2 if bipartite else k_max, len(s))
+    if len(traces) <= jmax:
+        traces = _last_run[3] = _power_traces(s, jmax)
+    return traces[:jmax + 1], bipartite, len(s)
+
+
 def _char_poly(traces: list[int]) -> list[int]:
     """Coefficients ``e_0 .. e_j`` from power traces ``t_0 .. t_j``.
 
@@ -169,8 +193,8 @@ def nullity_exact(g: Graph) -> int:
     ``S`` is symmetric, so its rank is the largest ``k`` with ``e_k != 0``.
     A bipartite graph has ``rank(A) = 2 rank(B) = 2 rank(B B^T)``.
     """
-    s, bipartite = _trace_kernel(g)
-    e = _char_poly(_power_traces(s, len(s)))
+    traces, bipartite, _ = _kernel_traces(g, 2 * g.n)
+    e = _char_poly(traces)
     rank = max(k for k, c in enumerate(e) if c)
     return g.n - (2 * rank if bipartite else rank)
 
@@ -185,10 +209,8 @@ def _moment_run(g: Graph, k_max: int) -> list[int]:
     ``S``; later ones follow from Cayley-Hamilton,
     ``t_k = sum_{i=1..d} (-1)^(i-1) e_i t_(k-i)``.
     """
-    s, bipartite = _trace_kernel(g)
-    d = len(s)
+    traces, bipartite, d = _kernel_traces(g, k_max)
     jmax = k_max // 2 if bipartite else k_max
-    traces = _power_traces(s, min(jmax, d))
     e = _char_poly(traces)
     for k in range(len(traces), jmax + 1):
         traces.append(sum(e[i] * traces[k - i] * (1 if i % 2 else -1)

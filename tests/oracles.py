@@ -5,9 +5,9 @@ decided by subset removal, matchings by recursion over raw edge subsets, walk
 counts by explicit DFS enumeration, closed-walk counts by powers of the full
 adjacency matrix (production uses the bipartite Gram matrix), spectra by
 numpy's LAPACK wrapper (the production eigensolver is a hand-rolled Jacobi
-sweep), and class maximizer scans over every labelled biadjacency mask
-(production scans one mask per left-row multiset, weighted by its orbit
-size).  The corrected connectivity-class maximizer is derived from the
+sweep), and class maximizer scans over every labelled biadjacency mask or
+over one mask per multiset of left rows (production scans one
+representative per ``S_a x S_b`` orbit, from an orderly generator).  The corrected connectivity-class maximizer is derived from the
 paper's own comparison lemmas rather than taken from
 ``search.predicted_maximizer``.
 """
@@ -15,6 +15,7 @@ paper's own comparison lemmas rather than taken from
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -174,23 +175,19 @@ def power_moments(g: Graph, k: int) -> list[int]:
     return moments
 
 
-def _labelled_scan_batch(kind: str, n: int, a: int, lo: int, hi: int,
-                         values) -> dict:
-    """Class partials of the biadjacency masks ``lo .. hi - 1`` of split
-    ``(a, n - a)``, each mask scanned as its own graph with weight 1."""
+def _scan_rows(kind: str, n: int, a: int, left: np.ndarray, masks: np.ndarray,
+               weights: np.ndarray, values) -> dict:
+    """Class partials of split-``(a, n - a)`` graphs given by their left rows
+    (bit ``j`` for right vertex ``j``), biadjacency masks and weights."""
     b = n - a
-    masks = np.arange(lo, hi, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(a * b, dtype=np.int64)) & 1
-    biadj = bits.reshape(-1, a, b)
-    mats = np.zeros((len(masks), n, n))
+    biadj = (left[:, :, None] >> np.arange(b, dtype=np.int64)) & 1
+    mats = np.zeros((len(left), n, n))
     mats[:, :a, a:] = biadj
     mats[:, a:, :a] = biadj.transpose(0, 2, 1)
     ee = np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
 
-    left = ((masks[:, None] >> (b * np.arange(a, dtype=np.int64)))
-            & ((1 << b) - 1)) << a
     right = (biadj << np.arange(a, dtype=np.int64)[:, None]).sum(axis=1)
-    all_rows = np.concatenate([left, right], axis=1).tolist()
+    all_rows = np.concatenate([left << a, right], axis=1).tolist()
     if kind == "matching":
         invariant = [_kuhn_matching(rows, range(a)) for rows in all_rows]
     else:
@@ -208,32 +205,94 @@ def _labelled_scan_batch(kind: str, n: int, a: int, lo: int, hi: int,
         sel = ee[idx]
         best = sel.max()
         near = sel >= best - search.NEAR_TIE
-        halo = [(x, a, lo + i, 1)
-                for x, i in zip(sel[near].tolist(), idx[near].tolist())]
-        runner = float(sel[~near].max()) if not near.all() else None
-        partials[value] = search._Partial(len(idx), float(best), halo, runner)
+        halo = [(x, a, mask, w) for x, mask, w in zip(
+            sel[near].tolist(), masks[idx[near]].tolist(), weights[idx[near]].tolist())]
+        far = idx[~near]
+        runner = max(zip(ee[far].tolist(), [a] * len(far), masks[far].tolist()),
+                     default=None)
+        partials[value] = search._Partial(int(weights[idx].sum()), float(best),
+                                          halo, runner)
     return partials
+
+
+def _merged_maximizers(kind: str, n: int, values, batches) -> list:
+    """Merge the partials of ``batches`` (``(a, left, masks, weights)``) with
+    the engine's ``_Partial`` and finalize them with its ``_finalize``."""
+    values = list(range(1, n // 2 + 1)) if values is None else list(values)
+    merged = {value: search._Partial() for value in values}
+    for a, left, masks, weights in batches:
+        for value, part in _scan_rows(kind, n, a, left, masks, weights,
+                                      values).items():
+            merged[value].merge(part)
+    scanned = sum(1 << (a * (n - a)) for a in range(1, n // 2 + 1))
+    return [search._finalize(ClassDescriptor(kind, n, value), merged[value],
+                             scanned, 0.0)
+            for value in values]
 
 
 def labelled_maximizers(kind: str, n: int, values=None) -> list:
     """``search.find_maximizers`` by the labelled scan: every biadjacency
-    mask of every split ``(a, n - a)``, ``1 <= a <= n/2``, in batches of
-    ``search.BATCH_SIZE`` masks, merged and finalized by the engine's own
-    ``_Partial`` and ``_finalize``."""
-    values = list(range(1, n // 2 + 1)) if values is None else list(values)
-    merged = {value: search._Partial() for value in values}
-    scanned = 0
-    for a in range(1, n // 2 + 1):
-        total = 1 << (a * (n - a))
-        scanned += total
-        for lo in range(0, total, search.BATCH_SIZE):
-            hi = min(lo + search.BATCH_SIZE, total)
-            for value, part in _labelled_scan_batch(kind, n, a, lo, hi,
-                                                    values).items():
-                merged[value].merge(part)
-    return [search._finalize(ClassDescriptor(kind, n, value), merged[value],
-                             scanned, 0.0)
-            for value in values]
+    mask of every split ``(a, n - a)``, ``1 <= a <= n/2``, each with weight
+    1, in batches of ``search.BATCH_SIZE`` masks."""
+    def batches():
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            total = 1 << (a * b)
+            for lo in range(0, total, search.BATCH_SIZE):
+                masks = np.arange(lo, min(lo + search.BATCH_SIZE, total),
+                                  dtype=np.int64)
+                left = ((masks[:, None] >> (b * np.arange(a, dtype=np.int64)))
+                        & ((1 << b) - 1))
+                yield a, left, masks, np.ones(len(masks), dtype=np.int64)
+    return _merged_maximizers(kind, n, values, batches())
+
+
+def row_multisets(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and orbit weights of the multisets of ``a`` rows out of ``2**b``
+    with colex ranks ``lo .. hi - 1``.
+
+    Rank ``r`` is unranked in the combinatorial number system: the sorted
+    rows ``c_0 <= ... <= c_(a-1)`` map to the ``a``-subset ``d_i = c_i + i``
+    of ``2**b + a - 1`` points, with ``r = sum C(d_i, i + 1)``.  Rows come
+    back non-increasing from row 0, so ``sum rows[i] << (i * b)`` is the least
+    mask of the left-permutation orbit.  The weight ``a!/prod(mult!)`` is
+    ``a!`` over the product of the running run lengths.  Ranks outside
+    ``0 .. C(2**b + a - 1, a)`` raise ``ValueError``.
+    """
+    if not 0 <= lo <= hi <= math.comb((1 << b) + a - 1, a):
+        raise ValueError(f"multiset ranks {lo}..{hi} out of range for split ({a}, {b})")
+    x = np.arange((1 << b) + a - 1, dtype=np.int64)
+    binom = [np.ones_like(x)]
+    for k in range(1, a + 1):
+        binom.append(binom[-1] * (x - k + 1) // k)   # C(x, k), exact
+    ranks = np.arange(lo, hi, dtype=np.int64)
+    rows = np.empty((hi - lo, a), dtype=np.int64)
+    for i in range(a - 1, -1, -1):
+        d = np.searchsorted(binom[i + 1], ranks, side="right") - 1
+        ranks -= binom[i + 1][d]
+        rows[:, a - 1 - i] = d - i
+    run = np.ones(hi - lo, dtype=np.int64)
+    repeats = np.ones(hi - lo, dtype=np.int64)
+    for i in range(1, a):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        repeats *= run
+    return rows, math.factorial(a) // repeats
+
+
+def row_multiset_maximizers(kind: str, n: int, values=None) -> list:
+    """``search.find_maximizers`` by the row-multiset scan: one biadjacency
+    mask per multiset of left rows (the least of its left-permutation
+    orbit), weighted by the orbit size, in batches of ``search.BATCH_SIZE``
+    multiset ranks."""
+    def batches():
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            total = math.comb((1 << b) + a - 1, a)
+            for lo in range(0, total, search.BATCH_SIZE):
+                left, weights = row_multisets(a, b, lo, min(lo + search.BATCH_SIZE, total))
+                masks = (left << (b * np.arange(a, dtype=np.int64))).sum(axis=1)
+                yield a, left, masks, weights
+    return _merged_maximizers(kind, n, values, batches())
 
 
 def bipartite_graphs(n: int, connected_only: bool = False):

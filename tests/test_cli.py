@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bipartite_estrada import cli
+from bipartite_estrada import cli, spectral
 from bipartite_estrada.cli import main
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import emit_graph6, parse_graph6
@@ -88,6 +88,26 @@ class TestCompute:
         path.write_text("@\n", encoding="utf-8")
         code, _, _ = run(capsys, "compute", "--graph6", "@", "--file", str(path))
         assert code == 2
+
+    def test_one_trace_run_per_graph(self, capsys, monkeypatch, tmp_path):
+        # nullity and moment series share the power traces of each graph;
+        # the repeated K23 is a new graph after the triangle
+        calls = []
+
+        def counting(s, jmax, original=spectral._power_traces):
+            calls.append(jmax)
+            return original(s, jmax)
+
+        monkeypatch.setattr(spectral, "_power_traces", counting)
+        monkeypatch.setattr(spectral, "_last_run", [None, None, False, []])
+        path = tmp_path / "graphs.g6"
+        path.write_text(f"{K23}\n{TRIANGLE}\n{K23}\n")
+        code, out, _ = run(capsys, "compute", "--file", str(path),
+                           "--format", "json")
+        assert code == 0
+        assert calls == [2, 3, 2]  # order of B B^T, A, B B^T
+        moments = json.loads(out)["graphs"]
+        assert moments[0] == moments[2]
 
     def test_nonpositive_tolerance_exit2(self, capsys):
         for tol in ("0", "inf", "nan"):
@@ -236,12 +256,12 @@ class TestVerify:
         assert run(capsys, "verify", "--theorem", "matching",
                    "--n-min", "4", "--n-max", "3")[0] == 2
         assert run(capsys, "verify", "--theorem", "matching",
-                   "--n-min", "2", "--n-max", "10")[0] == 2
+                   "--n-min", "2", "--n-max", "12")[0] == 2
 
     def test_order_above_hard_max_exit2_before_scanning(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "find_maximizers", _no_scan)
         code, _, err = run(capsys, "verify", "--theorem", "matching",
-                           "--n-max", "11", "--allow-n10")
+                           "--n-max", "13", "--allow-n12")
         assert code == 2 and "usage error" in err
 
     def test_threads_below_one_exit2(self, capsys, monkeypatch):
@@ -275,3 +295,16 @@ class TestDeterministicSerialization:
             blobs.append((out_path.read_bytes(),
                           out_path.with_suffix(".csv").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("theorem", ["matching", "connectivity",
+                                         "edge-connectivity"])
+    def test_verify_bytes_identical_for_threads_1_2_3(self, capsys, tmp_path,
+                                                      theorem):
+        blobs = set()
+        for workers in ("1", "2", "3"):
+            out_path = tmp_path / f"w{workers}.json"
+            run(capsys, "verify", "--theorem", theorem, "--n-min", "7",
+                "--n-max", "7", "--threads", workers, "--out", str(out_path))
+            blobs.add((out_path.read_bytes(),
+                       out_path.with_suffix(".csv").read_bytes()))
+        assert len(blobs) == 1

@@ -16,7 +16,8 @@ from bipartite_estrada.invariants import ClassDescriptor, class_member
 from bipartite_estrada.search import (find_maximizers, is_isomorphic,
                                       predicted_maximizer)
 from oracles import (bipartite_graphs, corrected_connectivity_prediction,
-                     ee_lapack, labelled_maximizers)
+                     ee_lapack, labelled_maximizers, row_multiset_maximizers,
+                     row_multisets)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -50,16 +51,84 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             find_maximizers("matching", 1)
         with pytest.raises(ValueError):
-            find_maximizers("matching", 11, allow_n10=True)
+            find_maximizers("matching", 13, allow_n12=True)
+
+
+def _orbit_key(a, b, bits):
+    """The least labelled mask over S_a x S_b, by brute force."""
+    return min(sum(bits[r][c] << (i * b + j)
+                   for i, r in enumerate(rows) for j, c in enumerate(cols))
+               for rows in itertools.permutations(range(a))
+               for cols in itertools.permutations(range(b)))
+
+
+class TestOrbitGenerator:
+    # S_a x S_b orbits of the splits (a, n - a), 1 <= a <= n/2
+    ORBITS = {2: 2, 3: 3, 4: 11, 5: 18, 6: 64, 7: 128, 8: 565, 9: 1518,
+              10: 9713}
+
+    @staticmethod
+    def orbits(a, b):
+        return search._orbits(a, b, 0, len(search._prefixes(a, b)[0]))
+
+    @pytest.mark.parametrize("n", sorted(ORBITS))
+    def test_orbit_counts_and_weights(self, n):
+        total = 0
+        for a in range(1, n // 2 + 1):
+            columns, weights = self.orbits(a, n - a)
+            assert int(weights.sum()) == 2 ** (a * (n - a))
+            total += len(columns)
+        assert total == self.ORBITS[n]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_representatives_pairwise_inequivalent(self, n):
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            columns, weights = self.orbits(a, b)
+            assert (np.diff(columns, axis=1) >= 0).all()
+            keys = []
+            for cols, weight in zip(columns.tolist(), weights.tolist()):
+                bits = [[(c >> i) & 1 for c in cols] for i in range(a)]
+                keys.append(_orbit_key(a, b, bits))
+                # the weight is the number of distinct labelled masks
+                orbit = {sum(bits[r][c] << (i * b + j)
+                             for i, r in enumerate(rows) for j, c in enumerate(perm))
+                         for rows in itertools.permutations(range(a))
+                         for perm in itertools.permutations(range(b))}
+                assert weight == len(orbit)
+            assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_least_mask_is_orbit_minimum(self, n):
+        rng = random.Random(n)
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            for _ in range(20):
+                mask = rng.randrange(1 << (a * b))
+                bits = [[(mask >> (i * b + j)) & 1 for j in range(b)]
+                        for i in range(a)]
+                want = _orbit_key(a, b, bits)
+                if a == b:
+                    want = min(want, _orbit_key(a, b, [list(r) for r in zip(*bits)]))
+                assert search._least_mask(n, a, mask) == want
+
+    def test_prefix_range_checked(self):
+        total = len(search._prefixes(3, 3)[0])
+        search._orbits(3, 3, 0, total)
+        for lo, hi in ((0, total + 1), (-1, 2), (5, 4)):
+            with pytest.raises(ValueError):
+                search._orbits(3, 3, lo, hi)
 
 
 class TestRowMultisets:
+    """The row-multiset oracle: one mask per multiset of left rows."""
+
     SPLITS = [(a, b) for a in range(1, 5) for b in range(a, 21) if a * b <= 20]
 
     @pytest.mark.parametrize("a,b", SPLITS)
     def test_ranks_cover_every_left_orbit_once(self, a, b):
         total = math.comb(2 ** b + a - 1, a)
-        rows, weights = search._row_multisets(a, b, 0, total)
+        rows, weights = row_multisets(a, b, 0, total)
         shifts = b * np.arange(a, dtype=np.int64)
         masks = (rows << shifts).sum(axis=1)
         assert len(np.unique(masks)) == total
@@ -77,41 +146,49 @@ class TestRowMultisets:
         for _ in range(3):
             lo = rng.randrange(total)
             hi = rng.randrange(lo, total) + 1
-            part_rows, part_weights = search._row_multisets(a, b, lo, hi)
+            part_rows, part_weights = row_multisets(a, b, lo, hi)
             assert (part_rows == rows[lo:hi]).all()
             assert (part_weights == weights[lo:hi]).all()
 
     def test_rank_range_checked(self):
         # (3, 3) has C(2**3 + 2, 3) = 120 row multisets
-        search._row_multisets(3, 3, 0, 120)
+        row_multisets(3, 3, 0, 120)
         for lo, hi in ((0, 512), (0, 121), (-1, 5), (7, 6)):
             with pytest.raises(ValueError):
-                search._row_multisets(3, 3, lo, hi)
+                row_multisets(3, 3, lo, hi)
 
 
 class TestLabelledOracle:
     @pytest.mark.parametrize("kind", ["matching", "vertex-connectivity",
                                       "edge-connectivity"])
-    def test_multiset_scan_matches_labelled_scan(self, kind):
-        fields = ("class_size", "graphs_scanned", "near_tie_count", "empty",
-                  "unique", "uniqueness_undecided", "matches_prediction",
-                  "max_ee")
+    def test_orbit_scan_matches_labelled_scan(self, kind):
         for n in range(2, 9):
-            for got, want in zip(find_maximizers(kind, n),
-                                 labelled_maximizers(kind, n)):
-                assert got.descriptor == want.descriptor
-                for field in fields:
-                    assert getattr(got, field) == getattr(want, field), \
-                        (got.descriptor, field)
-                if want.empty:
-                    assert got.maximizer is None and got.runner_up_gap is None
-                    continue
-                assert emit_graph6(got.maximizer) == emit_graph6(want.maximizer)
-                if want.runner_up_gap is None:
-                    assert got.runner_up_gap is None
-                else:
-                    assert got.runner_up_gap == pytest.approx(
-                        want.runner_up_gap, rel=0, abs=1e-12 * want.max_ee)
+            assert_same_reports(find_maximizers(kind, n),
+                                labelled_maximizers(kind, n))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["matching", "vertex-connectivity",
+                                      "edge-connectivity"])
+    def test_orbit_scan_matches_row_multiset_scan_n9(self, kind):
+        assert_same_reports(find_maximizers(kind, 9),
+                            row_multiset_maximizers(kind, 9))
+
+
+def assert_same_reports(got_reports, want_reports):
+    """Equal on every payload field, floats bit for bit."""
+    fields = ("class_size", "graphs_scanned", "near_tie_count", "empty",
+              "unique", "uniqueness_undecided", "matches_prediction",
+              "max_ee", "runner_up_gap")
+    assert len(got_reports) == len(want_reports)
+    for got, want in zip(got_reports, want_reports):
+        assert got.descriptor == want.descriptor
+        for field in fields:
+            assert getattr(got, field) == getattr(want, field), \
+                (got.descriptor, field)
+        if want.empty:
+            assert got.maximizer is None
+        else:
+            assert emit_graph6(got.maximizer) == emit_graph6(want.maximizer)
 
 
 class TestHaloRule:
@@ -132,8 +209,12 @@ class TestHaloRule:
         report = self.finalize(ClassDescriptor("matching", 6, 3),
                                [(ee, 3, mask) for mask in masks])
         assert (report.unique, report.uniqueness_undecided) == (True, False)
+        # the leader is the least labelled mask of the 6-cycle, which none
+        # of the three scanned copies is
+        least = 0b011_101_110
+        assert least < min(masks)
         assert emit_graph6(report.maximizer) \
-            == emit_graph6(search._graph_from_split(6, 3, min(masks)))
+            == emit_graph6(search._graph_from_split(6, 3, least))
 
     def test_cospectral_rival_is_decided_not_unique(self):
         # the Saltire pair: K_{1,4} and C_4 + K_1 share the spectrum (+-2, 0^3)
@@ -261,7 +342,7 @@ class TestFindMaximizer:
 
     def test_descriptor_order_guard(self):
         with pytest.raises(ValueError):
-            find_maximizers("matching", 10, [2])[0]
+            find_maximizers("matching", 12, [2])[0]
 
 
 class TestDeterminism:
@@ -295,9 +376,10 @@ class TestDeterminism:
 
         monkeypatch.setattr(search, "Pool", RecordingPool)
         pooled = find_maximizers("matching", 5, workers=64)
-        assert started == [2]  # one batch per split: (1, 4) and (2, 3)
+        # (1, 4) has 3 two-column prefixes (one task), (2, 3) has 7 (two)
+        assert started == [3]
         serial = find_maximizers("matching", 5, workers=1)
-        assert started == [2]
+        assert started == [3]
         assert [(r.max_ee, r.maximizer) for r in pooled] \
             == [(r.max_ee, r.maximizer) for r in serial]
 
@@ -316,12 +398,13 @@ class TestDeterminism:
                     total[v].merge(part[v])
             return total
 
-        # (3, 3) has C(2**3 + 2, 3) = 120 row multisets
-        whole = scan(0, 120)
-        left_fold = merged(scan(0, 1), scan(1, 17), scan(17, 70), scan(70, 71),
-                           scan(71, 120))
-        tree = merged(merged(scan(0, 64), scan(64, 65)),
-                      merged(scan(65, 119), scan(119, 120)))
+        # (3, 3) has 13 canonical two-column prefixes
+        assert len(search._prefixes(3, 3)[0]) == 13
+        whole = scan(0, 13)
+        left_fold = merged(scan(0, 1), scan(1, 4), scan(4, 4), scan(4, 9),
+                           scan(9, 10), scan(10, 13))
+        tree = merged(merged(scan(0, 6), scan(6, 7)),
+                      merged(scan(7, 12), scan(12, 13)))
         for grouped in (left_fold, tree):
             for v in values:
                 a, b = whole[v], grouped[v]
@@ -338,9 +421,8 @@ class TestDeterminism:
                 return original(rows, n)
             monkeypatch.setattr(module, "_connected_rows", counting)
         reports = find_maximizers(kind, 6)
-        # one BFS per scanned row multiset, the representative of its orbit
-        assert calls["search"] == sum(math.comb(2 ** (6 - a) + a - 1, a)
-                                      for a in range(1, 4))
+        # one BFS per scanned S_a x S_b orbit representative
+        assert calls["search"] == TestOrbitGenerator.ORBITS[6]
         # only _finalize's class_member check on each non-empty class
         assert calls["invariants"] == sum(not r.empty for r in reports)
 
