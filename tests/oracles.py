@@ -7,9 +7,9 @@ adjacency matrix (production uses the bipartite Gram matrix), spectra by
 numpy's LAPACK wrapper (the production eigensolver is a hand-rolled Jacobi
 sweep), and class maximizer scans over every labelled biadjacency mask or
 over one mask per multiset of left rows (production scans one
-representative per ``S_a x S_b`` orbit, from an orderly generator).  The corrected connectivity-class maximizer is derived from the
-paper's own comparison lemmas rather than taken from
-``search.predicted_maximizer``.
+representative per ``S_a x S_b`` orbit, from an orderly generator).  The
+corrected connectivity-class maximizer is derived from the paper's own
+comparison lemmas rather than taken from ``search.predicted_maximizer``.
 """
 
 from __future__ import annotations
