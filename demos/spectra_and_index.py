@@ -6,10 +6,10 @@ The index of a graph is sum(exp(eigenvalue)) over the adjacency spectrum.
 For bipartite graphs it can also be written as nullity + 2*sum(cosh) over the
 positive eigenvalues, and as the everywhere-convergent series
 sum_k (closed walks of length k) / k!.  The routes are not independent:
-``eigen`` and ``cosh`` read the same Jacobi spectrum, and the exact nullity
-that ``cosh`` adds comes from the same integer trace kernel as the closed-walk
-counts of ``moment-series``.  Their agreement checks the Jacobi spectrum
-against exact integer data.
+``eigen`` and ``cosh`` read the same LAPACK ``eigvalsh`` spectrum, and the
+exact nullity that ``cosh`` adds comes from the same integer trace kernel as
+the closed-walk counts of ``moment-series``.  Their agreement checks the
+float spectrum against exact integer data.
 """
 
 import math

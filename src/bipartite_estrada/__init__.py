@@ -11,9 +11,8 @@ from .graph import (Bipartition, Graph, Graph6Error, emit_graph6,
                     find_bipartition, from_biadjacency, parse_graph6)
 from .invariants import (ClassDescriptor, class_member, edge_connectivity,
                          is_connected, matching_number, vertex_connectivity)
-from .spectral import (EstradaValue, JacobiConvergenceError, MomentSeries,
-                       SpectrumResult, eigenvalues, estrada, moment_series,
-                       nullity_exact)
+from .spectral import (EstradaValue, MomentSeries, SpectrumResult, eigenvalues,
+                       estrada, moment_series, nullity_exact)
 from .walks import (DominanceReport, IdentificationScheme, TwinCheck,
                     WalkCountTable, dominance_check, identify_union,
                     twin_check, walk_counts)
@@ -33,7 +32,7 @@ __all__ = [
     "from_biadjacency", "parse_graph6",
     "ClassDescriptor", "class_member", "edge_connectivity", "is_connected",
     "matching_number", "vertex_connectivity",
-    "EstradaValue", "JacobiConvergenceError", "MomentSeries", "SpectrumResult",
+    "EstradaValue", "MomentSeries", "SpectrumResult",
     "eigenvalues", "estrada", "moment_series", "nullity_exact",
     "DominanceReport", "IdentificationScheme", "TwinCheck", "WalkCountTable",
     "dominance_check", "identify_union", "twin_check", "walk_counts",

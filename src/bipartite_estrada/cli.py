@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .invariants import (BRUTE_FORCE_MATCHING_LIMIT, edge_connectivity,
                          matching_number, vertex_connectivity)
 from .quartic import CLI_LEMMAS, sweep
 from .search import N_DEFAULT_MAX, N_HARD_MAX, NEAR_TIE, find_maximizers
-from .spectral import (JACOBI_TOLERANCE, MOMENT_BUDGET, estrada, eigenvalues,
+from .spectral import (MOMENT_BUDGET, SPECTRUM_TOLERANCE, estrada, eigenvalues,
                        index_from_spectrum, moment_series)
 
 
@@ -104,8 +103,8 @@ def _load_graphs(args) -> list[Graph]:
 # compute
 # ---------------------------------------------------------------------------
 
-def _compute_report(g: Graph, tol: float) -> dict:
-    spectrum = eigenvalues(g, tol)
+def _compute_report(g: Graph) -> dict:
+    spectrum = eigenvalues(g)
     bipartite = find_bipartition(g) is not None
     report = {
         "graph6": emit_graph6(g),
@@ -126,7 +125,7 @@ def _compute_report(g: Graph, tol: float) -> dict:
         report["matching_number"] = None
     report["vertex_connectivity"] = vertex_connectivity(g)
     report["edge_connectivity"] = edge_connectivity(g)
-    report["tolerance"] = tol
+    report["tolerance"] = SPECTRUM_TOLERANCE
     if not bipartite:
         report["note"] = "cosh method omitted: graph is not bipartite"
     return report
@@ -138,10 +137,7 @@ _COMPUTE_FLAT = ["graph6", "n", "m", "nullity", "estrada_eigen", "estrada_cosh",
 
 
 def _cmd_compute(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise CliUsageError("--tolerance must be finite and positive")
-    graphs = _load_graphs(args)
-    reports = [_compute_report(g, args.tolerance) for g in graphs]
+    reports = [_compute_report(g) for g in _load_graphs(args)]
     if args.format == "json":
         _write_or_print(stable_json({"graphs": reports}) + "\n", args.out)
     elif args.format == "csv":
@@ -231,8 +227,16 @@ def _cmd_moments(args) -> int:
 
 def _cmd_compare(args) -> int:
     comparison = CLI_LEMMAS[args.lemma]
-    verdicts = sweep(comparison, max_p=args.max_p, max_q=args.max_q,
-                     max_s=args.max_s, max_n=args.max_n)
+    bounds = ("--max-n and --max-s" if comparison == "complete-split"
+              else "--max-p, --max-q and --max-s")
+    try:
+        verdicts = sweep(comparison, max_p=args.max_p, max_q=args.max_q,
+                         max_s=args.max_s, max_n=args.max_n)
+    except OverflowError as exc:
+        raise CliUsageError(f"an index on the grid set by {bounds} overflows "
+                            f"a float (cosh above 710)") from exc
+    if not verdicts:
+        raise CliUsageError(f"the grid set by {bounds} holds no applicable point")
     header = ["comparison", "n", "s", "p", "q", "lhs", "rhs", "gap", "holds",
               "sign_value"]
     rows = []
@@ -357,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="spectrum, index, and invariants of graphs")
     _add_input_flags(p)
     _add_common_flags(p)
-    p.add_argument("--tolerance", type=float, default=JACOBI_TOLERANCE,
-                   help="eigensolver off-diagonal threshold")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("construct", help="build a named family instance")

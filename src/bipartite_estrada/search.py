@@ -61,7 +61,7 @@ from .families import complete_bipartite, join_family
 from .graph import Graph, bit_indices, from_biadjacency
 from .invariants import (ClassDescriptor, _connected_rows, _edge_conn_rows,
                          _kuhn_matching, _vertex_conn_rows, class_member)
-from .spectral import _moment_run
+from .spectral import _moment_run, estrada
 
 NEAR_TIE = 1e-6
 BATCH_SIZE = 1 << 14
@@ -347,10 +347,9 @@ def _least_mask(n: int, a: int, mask: int) -> int:
 
 
 def _reference_ee(n: int, a: int, mask: int) -> float:
-    """The index by one ``eigvalsh`` call on the ``n x n`` adjacency matrix
-    of the split-``(a, n - a)`` mask, left vertices first."""
-    return float(np.exp(np.linalg.eigvalsh(
-        _graph_from_split(n, a, mask).adjacency_matrix())).sum())
+    """The ``eigen`` index of the split-``(a, n - a)`` mask, left vertices
+    first: one ``eigvalsh`` call on its ``n x n`` adjacency matrix."""
+    return estrada(_graph_from_split(n, a, mask)).value
 
 
 @dataclass

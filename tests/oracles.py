@@ -3,13 +3,15 @@
 These deliberately avoid the library's production algorithms: connectivity is
 decided by subset removal, matchings by recursion over raw edge subsets, walk
 counts by explicit DFS enumeration, closed-walk counts by powers of the full
-adjacency matrix (production uses the bipartite Gram matrix), spectra by
-numpy's LAPACK wrapper (the production eigensolver is a hand-rolled Jacobi
-sweep), and class maximizer scans over every labelled biadjacency mask or
-over one mask per multiset of left rows (production scans one
-representative per ``S_a x S_b`` orbit, from an orderly generator).  The
+adjacency matrix (production uses the bipartite Gram matrix), and class
+maximizer scans over every labelled biadjacency mask or over one mask per
+multiset of left rows (production scans one representative per
+``S_a x S_b`` orbit, from an orderly generator).  The
 corrected connectivity-class maximizer is derived from the paper's own
 comparison lemmas rather than taken from ``search.predicted_maximizer``.
+Spectra come from numpy's LAPACK ``eigvalsh``, the production eigensolver
+too; the check independent of it is the exact ``moment-series`` route, and
+the tests hold the float spectrum to closed forms and exact power sums.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from bipartite_estrada.invariants import (ClassDescriptor, _connected_rows,
 
 
 def ee_lapack(g: Graph) -> float:
-    """Index via numpy's eigensolver; independent of the Jacobi route."""
+    """Index via numpy's ``eigvalsh``, the production ``eigen`` route itself;
+    the independent check of it is ``moment-series``."""
     return float(np.exp(np.linalg.eigvalsh(g.adjacency_matrix())).sum())
 
 

@@ -109,11 +109,6 @@ class TestCompute:
         moments = json.loads(out)["graphs"]
         assert moments[0] == moments[2]
 
-    def test_nonpositive_tolerance_exit2(self, capsys):
-        for tol in ("0", "inf", "nan"):
-            code, _, err = run(capsys, "compute", "--graph6", K23, "--tolerance", tol)
-            assert code == 2 and "usage error" in err
-
 
 class TestConstruct:
     def test_join(self, capsys):
@@ -209,6 +204,25 @@ class TestCompare:
             fields = line.split(",")
             n, s = int(fields[1]), int(fields[2])
             assert n == 2 * s + 2
+
+    def test_empty_grid_exit2(self, capsys, tmp_path):
+        out = tmp_path / "grid.csv"
+        for argv in (["--lemma", "4.3", "--max-n", "3"],
+                     ["--lemma", "4.1", "--max-s", "0"],
+                     ["--lemma", "4.2", "--max-p", "-3"]):
+            code, _, err = run(capsys, "compare", *argv, "--out", str(out))
+            assert code == 2 and "usage error" in err
+            assert "no applicable point" in err
+            assert not out.exists()
+
+    def test_float_overflow_exit2(self, capsys, tmp_path):
+        # EE(join(p - 1, 2, 1)) needs cosh above 710 from p = 168,259 on
+        out = tmp_path / "grid.csv"
+        code, _, err = run(capsys, "compare", "--lemma", "4.2", "--max-p", "170000",
+                           "--max-q", "1", "--max-s", "1", "--out", str(out))
+        assert code == 2 and "usage error" in err
+        assert "--max-p, --max-q and --max-s" in err
+        assert not out.exists()
 
 
 class TestVerify:
