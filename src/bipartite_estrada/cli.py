@@ -123,8 +123,11 @@ def _compute_report(g: Graph) -> dict:
         report["matching_number"] = matching_number(g)
     else:
         report["matching_number"] = None
-    report["vertex_connectivity"] = vertex_connectivity(g)
-    report["edge_connectivity"] = edge_connectivity(g)
+    kappa = vertex_connectivity(g)
+    report["vertex_connectivity"] = kappa
+    # Whitney: kappa <= lambda <= delta, so kappa = delta settles lambda
+    delta = min(g.degree(v) for v in range(g.n))
+    report["edge_connectivity"] = delta if kappa == delta else edge_connectivity(g)
     report["tolerance"] = SPECTRUM_TOLERANCE
     if not bipartite:
         report["note"] = "cosh method omitted: graph is not bipartite"

@@ -201,16 +201,25 @@ def _unit_flow(arcs, s: int, t: int, cap: int) -> int:
 
 
 def _vertex_flow(rows, n: int, s: int, t: int, cap: int) -> int:
-    """Internally vertex-disjoint s-t path count for non-adjacent ``s, t``,
-    stopping at ``cap``.
+    """``min(kappa(s, t), cap)``: the internally vertex-disjoint s-t path
+    count for non-adjacent ``s, t``, stopping at ``cap``.
+
+    Every s-t vertex separator contains each common neighbour ``w`` of
+    ``s`` and ``t``, since ``s-w-t`` is a path on its own.  So with
+    ``C = N(s) & N(t)``, ``kappa(s, t) = |C| + kappa_{G-C}(s, t)``: the flow
+    runs only when ``|C| < cap``, with ``C`` removed and ``cap - |C|`` left.
 
     Node splitting (Even-Tarjan): in-copy ``v`` has the single arc to its
     out-copy ``v + n``, and out-copy ``u + n`` has arcs to the in-copies of
     the neighbours of ``u``.  Unit arc capacities then bound every vertex to
-    one path.
+    one path; a vertex of ``C`` gets no in-out arc, which removes it.
     """
-    arcs = [1 << (v + n) for v in range(n)] + list(rows)
-    return _unit_flow(arcs, s + n, t, cap)
+    common = rows[s] & rows[t]
+    k = common.bit_count()
+    if k >= cap:
+        return cap
+    arcs = [0 if (common >> v) & 1 else 1 << (v + n) for v in range(n)] + list(rows)
+    return k + _unit_flow(arcs, s + n, t, cap - k)
 
 
 def _vertex_conn_rows(rows, n: int) -> int:

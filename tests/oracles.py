@@ -86,6 +86,29 @@ def bf_vertex_connectivity(g: Graph) -> int:
     return g.n - 1
 
 
+def _separates(g: Graph, removed: int, s: int, t: int) -> bool:
+    alive = ((1 << g.n) - 1) & ~removed
+    seen = frontier = 1 << s
+    while frontier:
+        reach = 0
+        for v in bit_indices(frontier):
+            reach |= g.rows[v]
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return not (seen >> t) & 1
+
+
+def bf_local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
+    """Size of the smallest vertex set separating non-adjacent ``s`` and
+    ``t``, by enumerating the subsets of the other vertices by size."""
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for subset in itertools.combinations(others, size):
+            if _separates(g, sum(1 << v for v in subset), s, t):
+                return size
+    raise ValueError("s and t are adjacent")
+
+
 def _rows_connected(rows, n: int) -> bool:
     seen = {0}
     stack = [0]

@@ -3,12 +3,13 @@
 import json
 import math
 
+import networkx as nx
 import pytest
 
 from bipartite_estrada import cli, spectral
 from bipartite_estrada.cli import main
 from bipartite_estrada.families import complete_bipartite, join_family
-from bipartite_estrada.graph import emit_graph6, parse_graph6
+from bipartite_estrada.graph import Graph, emit_graph6, parse_graph6
 from bipartite_estrada.search import is_isomorphic
 
 K23 = "D]o"       # complete split with sides 2 and 3
@@ -44,6 +45,43 @@ class TestCompute:
         assert data["matching_number"] == 2
         assert data["vertex_connectivity"] == 2
         assert data["edge_connectivity"] == 2
+
+    def test_edge_connectivity_by_whitney(self, capsys, monkeypatch):
+        # kappa <= lambda <= delta: the edge flows run only when kappa < delta
+        k33 = [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]
+        shared = k33 + [(u, v) for u in (0, 6, 7) for v in (8, 9, 10)]
+        bridged = k33 + [(u + 6, v + 6) for u, v in k33] + [(0, 6)]
+        c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        graphs = [
+            Graph.from_edges(11, shared),   # 1 = kappa < lambda = delta = 3
+            Graph.from_edges(12, bridged),  # 1 = kappa = lambda < delta = 3
+            complete_bipartite(31, 31),     # kappa = lambda = delta = 31
+            Graph.from_edges(8, c4 + [(u + 4, v + 4) for u, v in c4]),  # disconnected
+            Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3)]),     # vertex 5 isolated
+            Graph.from_edges(5, k5),
+            Graph(1, [0]),
+        ]
+        flows = []
+        edge_connectivity = cli.edge_connectivity
+
+        def counted(g):
+            flows.append(g)
+            return edge_connectivity(g)
+
+        monkeypatch.setattr(cli, "edge_connectivity", counted)
+        for g in graphs:
+            flows.clear()
+            code, out, _ = run(capsys, "compute", "--graph6", emit_graph6(g),
+                               "--format", "json")
+            assert code == 0
+            data = json.loads(out)["graphs"][0]
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            assert data["vertex_connectivity"] == nx.node_connectivity(ref)
+            assert data["edge_connectivity"] == nx.edge_connectivity(ref)
+            delta = min(g.degree(v) for v in range(g.n))
+            assert len(flows) == (data["vertex_connectivity"] < delta)
 
     def test_triangle_omits_cosh(self, capsys):
         code, out, _ = run(capsys, "compute", "--graph6", TRIANGLE,

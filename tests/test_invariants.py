@@ -6,12 +6,14 @@ import random
 import networkx as nx
 import pytest
 
+from bipartite_estrada import invariants
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, from_biadjacency
-from bipartite_estrada.invariants import (ClassDescriptor, class_member,
-                                          edge_connectivity, matching_number,
-                                          vertex_connectivity)
-from oracles import (all_graphs, bf_edge_connectivity, bf_matching_number,
+from bipartite_estrada.invariants import (ClassDescriptor, _vertex_flow,
+                                          class_member, edge_connectivity,
+                                          matching_number, vertex_connectivity)
+from oracles import (all_graphs, bf_edge_connectivity,
+                     bf_local_vertex_connectivity, bf_matching_number,
                      bf_min_vertex_cover, bf_vertex_connectivity,
                      bipartite_graphs)
 
@@ -143,6 +145,43 @@ class TestConnectivity:
             ref.add_nodes_from(range(g.n))
             assert vertex_connectivity(g) == nx.node_connectivity(ref)
             assert edge_connectivity(g) == nx.edge_connectivity(ref)
+            if g.n < 30:
+                continue
+            # local flows of a few non-adjacent pairs, uncapped
+            pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n)
+                     if not g.has_edge(s, t)]
+            for s, t in rng.sample(pairs, 4):
+                assert _vertex_flow(g.rows, g.n, s, t, g.n) == \
+                    nx.node_connectivity(ref, s, t)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_local_vertex_flow_every_cap(self, n):
+        # min(kappa(s, t), cap) for every non-adjacent pair and every cap,
+        # so both the early return at |N(s) & N(t)| >= cap and the reduced
+        # flow on G - C are met
+        for g in all_graphs(n):
+            for s, t in itertools.combinations(range(n), 2):
+                if g.has_edge(s, t):
+                    continue
+                k = bf_local_vertex_connectivity(g, s, t)
+                for cap in range(1, n + 1):
+                    assert _vertex_flow(g.rows, n, s, t, cap) == min(k, cap)
+
+    def test_complete_bipartite_needs_no_flow(self, monkeypatch):
+        # every pair of K_{p,q} that a flow would run on has min(p, q) or
+        # more common neighbours, so the reduction settles it
+        calls = []
+        unit_flow = invariants._unit_flow
+
+        def counted(*args):
+            calls.append(args)
+            return unit_flow(*args)
+
+        monkeypatch.setattr(invariants, "_unit_flow", counted)
+        assert vertex_connectivity(complete_bipartite(31, 31)) == 31
+        assert calls == []
+        for p, q in ((2, 5), (5, 2), (3, 7), (9, 4), (1, 6)):
+            assert vertex_connectivity(complete_bipartite(p, q)) == min(p, q)
 
 
 class TestClassDescriptor:
