@@ -284,12 +284,6 @@ def _class_record(report) -> dict:
     }
 
 
-_CLASS_FLAT = ["kind", "n", "value", "empty", "predicted_graph6",
-               "maximizer_graph6", "max_ee", "runner_up_gap", "unique",
-               "uniqueness_undecided", "matches_prediction", "class_size",
-               "graphs_scanned", "near_tie_count"]
-
-
 def _cmd_verify(args) -> int:
     if args.n_min < 2:
         raise CliUsageError("--n-min must be at least 2")
@@ -307,17 +301,17 @@ def _cmd_verify(args) -> int:
         reports += find_maximizers(kind, n, workers=args.threads,
                                    allow_n12=args.allow_n12)
     failing = [r for r in reports if not r.empty and not r.verified]
+    records = [_class_record(r) for r in reports]
     payload = {
         "theorem": args.theorem,
         "n_min": args.n_min,
         "n_max": args.n_max,
         "tolerances": {"near_tie": NEAR_TIE},
-        "classes": [_class_record(r) for r in reports],
+        "classes": records,
         "all_verified": not failing,
     }
     json_text = stable_json(payload) + "\n"
-    rows = [[_class_record(r).get(k) for k in _CLASS_FLAT] for r in reports]
-    csv_text = _csv_text(_CLASS_FLAT, rows)
+    csv_text = _csv_text(list(records[0]), [list(r.values()) for r in records])
     if args.out:
         out = Path(args.out)
         out.write_text(json_text, encoding="utf-8")

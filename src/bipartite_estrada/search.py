@@ -18,7 +18,8 @@ the tuple itself and ``mult`` are the column multiplicities, so class sizes,
 biadjacency masks.  When ``a = b`` a graph and its transpose are two orbits
 and both are scanned.  Duplicates across splits remain: the index is
 isomorphism-invariant, so they cannot change any maximum, and isomorphism
-handling is applied only to the tiny set of near-maximal candidates.
+is decided only for the tiny set of near-maximal candidates, by equal
+canonical keys: the sorted least labelled masks of the connected components.
 
 Graphs within ``NEAR_TIE`` of a class maximum form its halo.  Halo
 membership and the choice of runner-up rest on the scan's batched floats;
@@ -67,7 +68,6 @@ NEAR_TIE = 1e-6
 BATCH_SIZE = 1 << 14
 N_DEFAULT_MAX = 11
 N_HARD_MAX = 12
-ISO_LIMIT = 12
 PREFIX_DEPTH = 2          # columns fixed by a task's prefixes
 PREFIXES_PER_TASK = 4
 _CHUNK_ELEMENTS = 1 << 20  # permuted columns held at once by the canonicity test
@@ -96,57 +96,56 @@ def predicted_maximizer(descriptor: ClassDescriptor) -> Graph | None:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism by colour refinement + backtracking
+# isomorphism by canonical keys
 # ---------------------------------------------------------------------------
 
-def _refined_colors(g: Graph) -> list[int]:
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in bit_indices(g.rows[v]))))
-            for v in range(g.n)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [palette[sig] for sig in signatures]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+def _canonical_key(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """Sorted ``(order, a, _least_mask)`` over the connected components of
+    ``g``, each written in its one bipartition with the smaller side (``a``
+    vertices) as rows.
+
+    Raises ``ValueError`` when ``g`` has an odd cycle, or when a component's
+    ``a * b`` exceeds 63, the bits of the int64 mask ``_least_mask`` builds.
+    """
+    keys = []
+    rest = (1 << g.n) - 1
+    while rest:
+        seen = frontier = rest & -rest
+        sides, parity = [seen, 0], 0
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                nxt |= g.rows[low.bit_length() - 1]
+                f ^= low
+            if nxt & sides[parity]:
+                raise ValueError("graph is not bipartite")
+            parity ^= 1
+            frontier = nxt & ~seen
+            sides[parity] |= frontier
+            seen |= frontier
+        rest &= ~seen
+        small, large = sorted(sides, key=int.bit_count)
+        a, b = small.bit_count(), large.bit_count()
+        if a * b > 63:
+            raise ValueError(f"component with sides {a} x {b} exceeds 63 "
+                             f"biadjacency bits")
+        mask = sum(1 << (i * b + j)
+                   for i, u in enumerate(bit_indices(small))
+                   for j, w in enumerate(bit_indices(large))
+                   if (g.rows[u] >> w) & 1)
+        keys.append((a + b, a, _least_mask(a + b, a, mask)))
+    return tuple(sorted(keys))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism decision for graphs on at most 12 vertices."""
-    if max(g.n, h.n) > ISO_LIMIT:
-        raise ValueError(f"isomorphism supported only for n <= {ISO_LIMIT}")
-    if g.n != h.n or g.m != h.m:
-        return False
-    gc = _refined_colors(g)
-    hc = _refined_colors(h)
-    if sorted(gc) != sorted(hc):
-        return False
-    candidates = {v: [w for w in range(h.n) if hc[w] == gc[v]] for v in range(g.n)}
-    order = sorted(range(g.n), key=lambda v: len(candidates[v]))
-    mapping: dict[int, int] = {}
-    used = [False] * h.n
-
-    def extend(idx: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            if any(((g.rows[v] >> u) & 1) != ((h.rows[w] >> mapping[u]) & 1)
-                   for u in mapping):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(idx + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
-
-    return extend(0)
+    """Exact isomorphism decision for bipartite graphs: equality of their
+    ``_canonical_key``.  The key is complete because a connected bipartite
+    graph has one bipartition and ``_least_mask`` is the least mask over
+    ``S_a x S_b``, and over the transpose too when ``a = b``.  Raises
+    ``ValueError`` where ``_canonical_key`` does."""
+    return _canonical_key(g) == _canonical_key(h)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import numpy as np
 
 import pytest
@@ -15,9 +16,10 @@ from bipartite_estrada.graph import (Graph, emit_graph6, find_bipartition,
 from bipartite_estrada.invariants import ClassDescriptor, class_member
 from bipartite_estrada.search import (find_maximizers, is_isomorphic,
                                       predicted_maximizer)
-from oracles import (bipartite_graphs, corrected_connectivity_prediction,
-                     ee_lapack, labelled_maximizers, row_multiset_maximizers,
-                     row_multisets)
+from oracles import (bipartite_graphs, connected_after_removal,
+                     corrected_connectivity_prediction, ee_lapack,
+                     labelled_maximizers, random_bipartite,
+                     row_multiset_maximizers, row_multisets)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -243,26 +245,77 @@ class TestHaloRule:
         assert (report.unique, report.uniqueness_undecided) == (False, True)
 
 
+def _nx(g: Graph) -> nx.Graph:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    return ref
+
+
 class TestIsomorphism:
     def test_relabeling_invariance(self):
         rng = random.Random(3)
         for _ in range(50):
-            n = rng.randint(2, 9)
-            g = Graph.from_edges(n, [(i, j) for i in range(n)
-                                     for j in range(i + 1, n)
-                                     if rng.random() < 0.4])
-            perm = list(range(n))
+            g = random_bipartite(rng, 12, rng.choice([0.0, 0.2, 0.4, 0.7]))
+            perm = list(range(g.n))
             rng.shuffle(perm)
             assert is_isomorphic(g, g.relabel(perm))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_keys_complete_exhaustive(self, n):
+        # keys split every labelled bipartite graph on n vertices into
+        # exactly the networkx isomorphism classes
+        classes: dict = {}
+        for g in bipartite_graphs(n):
+            classes.setdefault(search._canonical_key(g), []).append(g)
+        for members in classes.values():
+            assert all(nx.is_isomorphic(_nx(members[0]), _nx(g))
+                       for g in members[1:])
+        leaders = [_nx(members[0]) for members in classes.values()]
+        for i, j in itertools.combinations(range(len(leaders)), 2):
+            assert not nx.is_isomorphic(leaders[i], leaders[j])
+
+    def test_keys_complete_random_pairs(self):
+        # relabelled copies, and copies with one edge flipped that stay
+        # bipartite, up to n = 12; p = 0 and small p give edgeless and
+        # disconnected graphs
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(2000):
+            g = random_bipartite(rng, 12, rng.choice([0.0, 0.15, 0.3, 0.5, 0.7, 0.9]))
+            h = g
+            if rng.random() < 0.5:
+                h = None
+                while h is None or find_bipartition(h) is None:
+                    u, v = rng.sample(range(g.n), 2)
+                    rows = list(g.rows)
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
+                    h = Graph(g.n, rows)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = h.relabel(perm)
+            want = nx.is_isomorphic(_nx(g), _nx(h))
+            assert is_isomorphic(g, h) == want
+            outcomes.add((want, g.m == 0, connected_after_removal(g, set())))
+        # isomorphic or not, by edgeless, disconnected with edges, connected
+        assert len(outcomes) == 6
 
     def test_degree_sequence_mismatch(self):
         assert not is_isomorphic(complete_bipartite(1, 3), PATH4)
 
     def test_same_degrees_different_graphs(self):
+        # both 2-regular and bipartite, so no degree-based invariant splits them
+        octagon = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+        two_squares = Graph.from_edges(
+            8, [(i + k, (i + 1) % 4 + k) for k in (0, 4) for i in range(4)])
+        assert not is_isomorphic(octagon, two_squares)
+        assert not is_isomorphic(two_squares, octagon)
         hexagon = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         two_triangles = Graph.from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not is_isomorphic(hexagon, two_triangles)
+        with pytest.raises(ValueError):
+            is_isomorphic(hexagon, two_triangles)
 
     def test_hexagon_from_two_masks(self):
         # two labelings of the 6-cycle inside the (3, 3) split
@@ -275,7 +328,13 @@ class TestIsomorphism:
             assert moment_series(first, k).moments[k] == moment_series(second, k).moments[k]
 
     def test_size_guard(self):
-        big = Graph(13, [0] * 13)
+        # a component's a * b must fit the 63 bits of an int64 mask
+        widest = complete_bipartite(7, 9)
+        perm = list(range(16))
+        random.Random(7).shuffle(perm)
+        assert is_isomorphic(widest, widest.relabel(perm))
+        assert not is_isomorphic(widest, complete_bipartite(6, 10))
+        big = complete_bipartite(8, 8)
         with pytest.raises(ValueError):
             is_isomorphic(big, big)
 
