@@ -4,7 +4,8 @@ The public functions take :class:`~bipartite_estrada.graph.Graph` values; the
 underscore-prefixed helpers work on raw bitmask rows so that the exhaustive
 search can call them without constructing Graph objects per candidate.  All
 arithmetic is integer, and both connectivities count disjoint paths with one
-unit-capacity flow routine.
+unit-capacity flow routine, by blocking flows over BFS level masks (Dinic;
+Even and Tarjan, SIAM J. Comput. 4, 1975).
 """
 
 from __future__ import annotations
@@ -161,42 +162,60 @@ def _unit_flow(arcs, s: int, t: int, cap: int) -> int:
     ``(arcs[u] & ~flow[u]) | back[u]``; augmenting over a ``back`` arc cancels
     the opposite unit.  A symmetric ``arcs`` (the rows of an undirected graph)
     gives edge-disjoint paths.
+
+    Blocking flows (Dinic; Even and Tarjan for unit networks): each phase
+    runs one BFS that records the bitmask ``levels[i]`` of the nodes at
+    residual distance ``i`` from ``s``, then a DFS that follows only
+    residual arcs from level ``i`` to level ``i + 1`` and augments until no
+    such path is left.  A node with no arc onward is a dead end for the rest
+    of the phase and leaves its level mask.  Augmenting only removes arcs of
+    the level graph or adds arcs back towards ``s``, so the next phase's
+    distance to ``t`` is longer.
     """
     size = len(arcs)
     flow = [0] * size
     back = [0] * size
-    parent = [0] * size  # entries are read only for nodes reached this round
     target = 1 << t
     total = 0
     while total < cap:
         seen = 1 << s
-        queue = [s]
-        for u in queue:
-            nxt = ((arcs[u] & ~flow[u]) | back[u]) & ~seen
-            if not nxt:
+        levels = [seen]
+        while not levels[-1] & target:
+            reach = 0
+            f = levels[-1]
+            while f:
+                low = f & -f
+                u = low.bit_length() - 1
+                reach |= (arcs[u] & ~flow[u]) | back[u]
+                f ^= low
+            reach &= ~seen
+            if not reach:  # no augmenting path is left
+                return total
+            seen |= reach
+            levels.append(reach)
+        levels[-1] = target
+        path = [s]
+        while path:
+            u = path[-1]
+            nxt = ((arcs[u] & ~flow[u]) | back[u]) & levels[len(path)]
+            if not nxt:  # dead end
+                levels[len(path) - 1] ^= 1 << u
+                path.pop()
                 continue
-            seen |= nxt
-            while nxt:
-                low = nxt & -nxt
-                v = low.bit_length() - 1
-                parent[v] = u
-                queue.append(v)
-                nxt ^= low
-            if seen & target:
+            path.append((nxt & -nxt).bit_length() - 1)
+            if path[-1] != t:
+                continue
+            for u, v in zip(path, path[1:]):
+                if (back[u] >> v) & 1:
+                    back[u] ^= 1 << v
+                    flow[v] ^= 1 << u
+                else:
+                    flow[u] |= 1 << v
+                    back[v] |= 1 << u
+            total += 1
+            if total == cap:
                 break
-        else:  # no augmenting path is left
-            break
-        v = t
-        while v != s:
-            u = parent[v]
-            if (back[u] >> v) & 1:
-                back[u] ^= 1 << v
-                flow[v] ^= 1 << u
-            else:
-                flow[u] |= 1 << v
-                back[v] |= 1 << u
-            v = u
-        total += 1
+            path = [s]
     return total
 
 

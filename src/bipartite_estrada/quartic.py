@@ -51,7 +51,7 @@ def complete_bipartite_ee(n1: int, n2: int) -> float:
         raise ValueError("need nonnegative sides and at least one vertex")
     if n1 == 0 or n2 == 0:
         return float(n1 + n2)  # empty graph
-    return n1 + n2 - 2 + 2.0 * math.cosh(math.sqrt(n1 * n2))
+    return _finite(n1 + n2 - 2 + 2.0 * math.cosh(math.sqrt(n1 * n2)))
 
 
 def ee_closed_form(p: int, q: int, s: int) -> float:
@@ -59,7 +59,16 @@ def ee_closed_form(p: int, q: int, s: int) -> float:
     ``n - 4 + 2cosh(x1) + 2cosh(x2)``."""
     form = quartic_roots(p, q, s)
     n = s + p + q + 1
-    return n - 4 + 2.0 * math.cosh(form.x1) + 2.0 * math.cosh(form.x2)
+    return _finite(n - 4 + 2.0 * math.cosh(form.x1) + 2.0 * math.cosh(form.x2))
+
+
+def _finite(index: float) -> float:
+    """``index``, or ``OverflowError`` when it is not finite.  ``math.cosh``
+    raises only above 710.48, but ``2 cosh(x)`` is already ``inf`` from
+    709.78 on."""
+    if math.isinf(index):
+        raise OverflowError("index exceeds the float range")
+    return index
 
 
 def quartic_value_at_integer_square(x_squared: int, p: int, q: int, s: int) -> int:
@@ -189,9 +198,37 @@ def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
 CLI_LEMMAS = {"4.1": "side-swap", "4.2": "transfer", "4.3": "complete-split"}
 
 
+def _slice_corners(comparison: str, max_p: int, max_q: int, max_s: int,
+                   max_n: int) -> list[ComparisonVerdict]:
+    """The verdict at the largest point of each ``s`` of the grid.
+
+    Every index compares graphs of the apex join family or ``K_{s,n-s}``,
+    and each member is an induced subgraph of the member with ``p``, ``q``
+    or ``n`` one larger, so no index falls as they grow.  For fixed ``s``
+    the applicable points have ``p <= min(max_p, q + s - 1)`` (side-swap)
+    or ``q <= min(max_q, p - s - 2)`` (transfer), and complete-split is
+    applicable at ``max_n`` if it is at any ``n``.  So the point evaluated
+    here is applicable when any point of its ``s`` is, and no index of
+    that ``s`` exceeds its indices.
+    """
+    slices = range(1, max_s + 1)
+    if comparison == "side-swap":
+        return [side_swap_gain(min(max_p, max_q + s - 1), max_q, s) for s in slices]
+    if comparison == "transfer":
+        return [transfer_gain(max_p, min(max_q, max_p - s - 2), s) for s in slices]
+    if comparison == "complete-split":
+        return [complete_split_deficit(max_n, s) for s in slices]
+    raise ValueError(f"unknown comparison {comparison!r}")
+
+
 def sweep(comparison: str, *, max_p: int = 12, max_q: int = 12, max_s: int = 12,
           max_n: int = 40) -> list[ComparisonVerdict]:
-    """All applicable verdicts of one comparison over a parameter grid."""
+    """All applicable verdicts of one comparison over a parameter grid.
+
+    The largest point of each ``s`` is evaluated first, so an index beyond
+    the float range raises ``OverflowError`` before the grid is swept.
+    """
+    _slice_corners(comparison, max_p, max_q, max_s, max_n)
     out: list[ComparisonVerdict] = []
     if comparison == "side-swap":
         for s in range(1, max_s + 1):
@@ -213,6 +250,4 @@ def sweep(comparison: str, *, max_p: int = 12, max_q: int = 12, max_s: int = 12,
                 v = complete_split_deficit(n, s)
                 if v.applicable:
                     out.append(v)
-    else:
-        raise ValueError(f"unknown comparison {comparison!r}")
     return out

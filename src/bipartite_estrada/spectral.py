@@ -11,18 +11,22 @@ eigenvalues.  Three evaluation routes are provided:
 * ``moment-series``: the truncated series ``sum M_k / k!`` over exact integer
   closed-walk counts, with a rigorous tail bound.
 
-Every exact quantity comes from one primitive, the power traces
-``tr(S^j)`` of a symmetric integer matrix ``S``.  For a bipartite graph ``S``
+Every exact quantity comes from one primitive, the characteristic
+polynomial of a symmetric integer matrix ``S``.  For a bipartite graph ``S``
 is the Gram matrix ``B B^T`` of its biadjacency matrix ``B`` over the smaller
 colour class: odd moments vanish and ``M_2j = 2 tr((B B^T)^j)`` for
 ``j >= 1``, while ``M_0 = n`` (Cvetkovic, Doob and Sachs, *Spectra of
-Graphs*).  Other graphs take ``S = A``.  Newton's identities turn the traces
-``j <= d`` (``d`` the order of ``S``) into the characteristic polynomial,
-which gives the rank of ``S`` and, by Cayley-Hamilton, every later trace.
+Graphs*).  Other graphs take ``S = A``.  The polynomial comes from the power
+traces ``tr(S^j)``, ``j <= d`` (``d`` the order of ``S``), taken modulo
+primes below ``2^20`` in int64 and joined by the Chinese remainder theorem
+under Newton's identities; a bound on the coefficients fixes how many primes.
+It gives the rank of ``S`` and, by Newton's identities in Python integers
+(Cayley-Hamilton past ``d``), every trace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,24 +87,6 @@ def eigenvalues(g: Graph) -> SpectrumResult:
                           nullity_exact(g))
 
 
-def _power_traces(s: np.ndarray, jmax: int) -> list[int]:
-    """``tr(S^j)`` for ``j = 0..jmax`` of a symmetric object-dtype integer matrix.
-
-    With ``P_i = S^i`` and symmetric ``S``, ``tr(S^(2i)) = sum(P_i * P_i)`` and
-    ``tr(S^(2i+1)) = sum(P_i * P_(i+1))`` (elementwise products), so only the
-    two powers in flight are held and about ``jmax / 2`` products are taken.
-    """
-    power = np.identity(len(s), dtype=object)
-    traces = []
-    for j in range(jmax + 1):
-        if j % 2:
-            previous, power = power, power @ s
-            traces.append(int((previous * power).sum()))
-        else:
-            traces.append(int((power * power).sum()))
-    return traces
-
-
 def _trace_kernel(g: Graph) -> tuple[np.ndarray, bool]:
     """The symmetric integer matrix ``S`` whose power traces give the moments.
 
@@ -111,51 +97,86 @@ def _trace_kernel(g: Graph) -> tuple[np.ndarray, bool]:
     """
     split = find_bipartition(g)
     if split is None:
-        return np.array(g.adjacency_int_rows(), dtype=object), False
+        return np.array(g.adjacency_int_rows(), dtype=np.int64), False
     rows = [g.rows[u] for u in sorted(min(split.side_x, split.side_y, key=len))]
     # reshape keeps the Gram matrix of an empty class (edgeless graphs) 0 x 0
     gram = np.array([[(r & t).bit_count() for t in rows] for r in rows],
-                    dtype=object).reshape(len(rows), len(rows))
+                    dtype=np.int64).reshape(len(rows), len(rows))
     return gram, True
 
 
-_last_run: list = [None, None, False, []]  # graph, S, flag, traces
+# primes below 2^20: a product of two residues summed over d <= 62 terms stays
+# below 2^46, so a matrix product modulo any of them is exact in int64; their
+# product exceeds twice the coefficient bound of every graph with n <= 62
+_PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447,
+           1048433, 1048423, 1048391)
 
 
-def _kernel_traces(g: Graph, k_max: int) -> tuple[list[int], bool, int]:
-    """``tr(S^j)`` for ``j <= min(jmax, d)`` of the graph's trace kernel
-    ``S`` of order ``d``, with the kernel flag and ``d``; ``jmax`` is
-    ``k_max // 2`` for a bipartite graph (its odd moments vanish), else
-    ``k_max``.
+def _coefficient_bound(s: np.ndarray, bipartite: bool) -> int:
+    """An integer ``b`` with ``|e_k| <= b`` for every coefficient of ``S``.
 
-    The longest run of the last graph asked for is kept.  ``compute`` takes
-    the nullity (every trace up to ``d``) and then the moment series of the
-    same graph, so it multiplies the traces out once.  Every value depends
-    on ``g`` alone, so the kept run changes no result.
+    ``e_k`` is the sum of the ``C(d, k)`` principal ``k x k`` minors of ``S``.
+    The Gram matrix is positive semidefinite, so Maclaurin's inequality
+    gives ``e_k <= C(d, k) (t_1 / d)^k`` with ``t_1 = tr(S) = m``.  For
+    ``S = A`` each minor has 0/1 rows of at most ``Delta`` ones, so
+    Hadamard's inequality gives ``|e_k| <= C(d, k) Delta^(k/2)``.
     """
-    if _last_run[0] != g:
-        s, bipartite = _trace_kernel(g)
-        _last_run[:] = [g, s, bipartite, []]
-    _, s, bipartite, traces = _last_run
-    jmax = min(k_max // 2 if bipartite else k_max, len(s))
-    if len(traces) <= jmax:
-        traces = _last_run[3] = _power_traces(s, jmax)
-    return traces[:jmax + 1], bipartite, len(s)
+    d = len(s)
+    if bipartite:
+        t1 = int(s.trace())
+        return max(-(-math.comb(d, k) * t1 ** k // d ** k) for k in range(d + 1))
+    delta = int(s.sum(axis=1).max())
+    return max(math.comb(d, k) * (math.isqrt(delta ** k) + 1)
+               for k in range(d + 1))
 
 
-def _char_poly(traces: list[int]) -> list[int]:
-    """Coefficients ``e_0 .. e_j`` from power traces ``t_0 .. t_j``.
+@functools.lru_cache(maxsize=1)
+def _char_poly(g: Graph) -> tuple[tuple[int, ...], bool]:
+    """Coefficients ``e_0 .. e_d`` of the trace kernel ``S`` of order ``d``,
+    with the kernel flag.
 
-    ``e_k`` is the k-th elementary symmetric function of the eigenvalues, so
-    ``det(xI - S) = sum (-1)^k e_k x^(d-k)``; Newton's identities
-    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) t_i`` divide exactly.
+    ``e_k`` is the k-th elementary symmetric function of the eigenvalues of
+    ``S``, so ``det(xI - S) = sum (-1)^k e_k x^(d-k)``.  The power traces
+    ``tr(S^j)``, ``j <= d``, are taken modulo the first ``r`` primes of
+    ``_PRIMES`` in one batched int64 product per step: with ``P_i = S^i``
+    and symmetric ``S``, ``tr(S^(2i)) = sum(P_i * P_i)`` and
+    ``tr(S^(2i+1)) = sum(P_i * P_(i+1))``, so about ``d / 2`` products are
+    taken.  The Chinese remainder theorem joins the residues modulo the
+    product ``P`` of the primes, and Newton's identities
+    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) t_i`` run modulo ``P``: every
+    ``k <= d`` is below each prime, so it is invertible.  ``r`` is the least
+    count with ``P > 2 b`` for the bound ``b`` of ``_coefficient_bound``, so
+    the symmetric residue of each ``e_k`` is ``e_k`` itself.
+
+    ``compute`` asks for the polynomial of one graph twice, for the nullity
+    and for the moment series; the one-entry cache shares it.
     """
+    s, bipartite = _trace_kernel(g)
+    d = len(s)
+    limit = 2 * _coefficient_bound(s, bipartite)
+    modulus, r = 1, 0
+    while modulus <= limit:
+        modulus *= _PRIMES[r]
+        r += 1
+    primes = np.array(_PRIMES[:r], dtype=np.int64)
+    base = s % primes[:, None, None]
+    power = np.broadcast_to(np.identity(d, dtype=np.int64), base.shape)
+    residues = []  # residues[j - 1][i] = tr(S^j) mod primes[i]
+    for j in range(1, d + 1):
+        if j % 2:
+            previous, power = power, power @ base % primes[:, None, None]
+            residues.append((previous * power).sum(axis=(1, 2)) % primes)
+        else:
+            residues.append((power * power).sum(axis=(1, 2)) % primes)
+    # CRT basis: basis[i] is 1 modulo primes[i] and 0 modulo the others
+    basis = [modulus // p * pow(modulus // p, -1, p) for p in _PRIMES[:r]]
+    traces = [sum(int(x) * c for x, c in zip(row, basis)) for row in residues]
     e = [1]
-    for k in range(1, len(traces)):
-        total = sum(e[k - i] * traces[i] * (1 if i % 2 else -1)
+    for k in range(1, d + 1):
+        total = sum(e[k - i] * traces[i - 1] * (1 if i % 2 else -1)
                     for i in range(1, k + 1))
-        e.append(total // k)
-    return e
+        e.append(total * pow(k, -1, modulus) % modulus)
+    return tuple(c - modulus if 2 * c > modulus else c for c in e), bipartite
 
 
 def nullity_exact(g: Graph) -> int:
@@ -164,8 +185,7 @@ def nullity_exact(g: Graph) -> int:
     ``S`` is symmetric, so its rank is the largest ``k`` with ``e_k != 0``.
     A bipartite graph has ``rank(A) = 2 rank(B) = 2 rank(B B^T)``.
     """
-    traces, bipartite, _ = _kernel_traces(g, 2 * g.n)
-    e = _char_poly(traces)
+    e, bipartite = _char_poly(g)
     rank = max(k for k, c in enumerate(e) if c)
     return g.n - (2 * rank if bipartite else rank)
 
@@ -176,16 +196,20 @@ def _moment_run(g: Graph, k_max: int) -> list[int]:
     A bipartite graph has ``A = [[0, B], [B^T, 0]]``, so every odd moment is
     0 and ``M_2j = 2 tr((B B^T)^j)`` for ``j >= 1``; ``M_0 = n``, not twice
     the size of the Gram matrix's colour class.  Other graphs take the traces
-    of ``A`` itself.  Traces are multiplied out only up to the order ``d`` of
-    ``S``; later ones follow from Cayley-Hamilton,
-    ``t_k = sum_{i=1..d} (-1)^(i-1) e_i t_(k-i)``.
+    of ``A`` itself.  The traces ``t_k = tr(S^k)`` come from the
+    characteristic polynomial of ``S`` by Newton's identities,
+    ``t_k = sum_{i=1..k-1} (-1)^(i-1) e_i t_(k-i) + (-1)^(k-1) k e_k``, with
+    ``e_k = 0`` for ``k > d``; past ``d`` this is Cayley-Hamilton.
     """
-    traces, bipartite, d = _kernel_traces(g, k_max)
-    jmax = k_max // 2 if bipartite else k_max
-    e = _char_poly(traces)
-    for k in range(len(traces), jmax + 1):
-        traces.append(sum(e[i] * traces[k - i] * (1 if i % 2 else -1)
-                          for i in range(1, d + 1)))
+    e, bipartite = _char_poly(g)
+    d = len(e) - 1
+    traces = [d]
+    for k in range(1, (k_max // 2 if bipartite else k_max) + 1):
+        total = sum(e[i] * traces[k - i] * (1 if i % 2 else -1)
+                    for i in range(1, min(k - 1, d) + 1))
+        if k <= d:
+            total += k * e[k] * (1 if k % 2 else -1)
+        traces.append(total)
     if not bipartite:
         return traces
     moments = [g.n] + [0] * k_max

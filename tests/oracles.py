@@ -3,7 +3,9 @@
 These deliberately avoid the library's production algorithms: connectivity is
 decided by subset removal, matchings by recursion over raw edge subsets, walk
 counts by explicit DFS enumeration, closed-walk counts by powers of the full
-adjacency matrix (production uses the bipartite Gram matrix), and class
+adjacency matrix (production uses the bipartite Gram matrix), characteristic
+polynomials by big-integer power traces (production works modulo primes), and
+class
 maximizer scans over every labelled biadjacency mask or over one mask per
 multiset of left rows (production scans one representative per
 ``S_a x S_b`` orbit, from an orderly generator).  The
@@ -199,6 +201,32 @@ def power_moments(g: Graph, k: int) -> list[int]:
         power = power @ adjacency
         moments.append(int(np.trace(power)))
     return moments
+
+
+def char_poly_big_integer(g: Graph) -> list[int]:
+    """Coefficients ``e_0 .. e_d`` of ``det(xI - S) = sum (-1)^k e_k x^(d-k)``
+    for ``S`` the Gram matrix ``B B^T`` over the smaller colour class of a
+    bipartite graph, else ``S = A``: the traces ``tr(S^j)``, ``j <= d``, of
+    object-dtype (Python int) powers, then Newton's identities
+    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) t_i`` with exact division."""
+    split = find_bipartition(g)
+    if split is None:
+        s = np.array(g.adjacency_int_rows(), dtype=object)
+    else:
+        side = sorted(min(split.side_x, split.side_y, key=len))
+        s = np.array([[(g.rows[u] & g.rows[v]).bit_count() for v in side]
+                      for u in side], dtype=object).reshape(len(side), len(side))
+    power = np.identity(len(s), dtype=object)
+    traces = [len(s)]
+    for _ in range(len(s)):
+        power = power @ s
+        traces.append(int(np.trace(power)))
+    e = [1]
+    for k in range(1, len(traces)):
+        total = sum(e[k - i] * traces[i] * (1 if i % 2 else -1)
+                    for i in range(1, k + 1))
+        e.append(total // k)
+    return e
 
 
 def _scan_rows(kind: str, n: int, a: int, left: np.ndarray, masks: np.ndarray,

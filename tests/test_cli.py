@@ -6,7 +6,7 @@ import math
 import networkx as nx
 import pytest
 
-from bipartite_estrada import cli, spectral
+from bipartite_estrada import cli, quartic, spectral
 from bipartite_estrada.cli import main
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, emit_graph6, parse_graph6
@@ -128,24 +128,24 @@ class TestCompute:
         assert code == 2
 
     def test_one_trace_run_per_graph(self, capsys, monkeypatch, tmp_path):
-        # nullity and moment series share the power traces of each graph;
-        # the repeated K23 is a new graph after the triangle
+        # nullity and moment series share the characteristic polynomial of
+        # each graph; the repeated K23 is a new graph after the triangle
         calls = []
 
-        def counting(s, jmax, original=spectral._power_traces):
-            calls.append(jmax)
-            return original(s, jmax)
+        def counting(g, original=spectral._trace_kernel):
+            calls.append(g.n)
+            return original(g)
 
-        monkeypatch.setattr(spectral, "_power_traces", counting)
-        monkeypatch.setattr(spectral, "_last_run", [None, None, False, []])
+        monkeypatch.setattr(spectral, "_trace_kernel", counting)
+        spectral._char_poly.cache_clear()
         path = tmp_path / "graphs.g6"
         path.write_text(f"{K23}\n{TRIANGLE}\n{K23}\n")
         code, out, _ = run(capsys, "compute", "--file", str(path),
                            "--format", "json")
         assert code == 0
-        assert calls == [2, 3, 2]  # order of B B^T, A, B B^T
-        moments = json.loads(out)["graphs"]
-        assert moments[0] == moments[2]
+        assert calls == [5, 3, 5]  # one polynomial per graph in turn
+        records = json.loads(out)["graphs"]
+        assert records[0] == records[2]
 
 
 class TestConstruct:
@@ -261,6 +261,25 @@ class TestCompare:
         assert code == 2 and "usage error" in err
         assert "--max-p, --max-q and --max-s" in err
         assert not out.exists()
+
+    def test_float_overflow_found_before_the_sweep(self, capsys, monkeypatch):
+        # the 640,800-point grid fails at its one corner, s = 1
+        calls = []
+        original = quartic.side_swap_gain
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(quartic, "side_swap_gain", counting)
+        code, _, err = run(capsys, "compare", "--lemma", "4.1", "--max-p", "800",
+                           "--max-q", "800", "--max-s", "1")
+        assert code == 2 and "usage error" in err
+        assert calls == [(800, 800, 1)]
+        # 2 cosh(709.9993) is inf although cosh itself is finite
+        code, _, err = run(capsys, "compare", "--lemma", "4.3", "--max-n", "1420",
+                           "--max-s", "709")
+        assert code == 2 and "--max-n and --max-s" in err
 
 
 class TestVerify:

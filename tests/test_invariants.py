@@ -9,7 +9,8 @@ import pytest
 from bipartite_estrada import invariants
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, from_biadjacency
-from bipartite_estrada.invariants import (ClassDescriptor, _vertex_flow,
+from bipartite_estrada.invariants import (ClassDescriptor, _unit_flow,
+                                          _vertex_flow,
                                           class_member, edge_connectivity,
                                           matching_number, vertex_connectivity)
 from oracles import (all_graphs, bf_edge_connectivity,
@@ -166,6 +167,40 @@ class TestConnectivity:
                 k = bf_local_vertex_connectivity(g, s, t)
                 for cap in range(1, n + 1):
                     assert _vertex_flow(g.rows, n, s, t, cap) == min(k, cap)
+
+    def test_unit_flow_against_networkx(self):
+        # seeded digraphs on 4..40 nodes with no pair of opposite arcs, so a
+        # path can undo a unit of flow only over a back arc; every cap up to
+        # the order.  Odd trials are layered from s = 0 to t = size - 1, with
+        # arcs only from one layer to the next: every s-t path has the same
+        # length, and the first paths found often block the others until a
+        # later path cancels flow
+        rng = random.Random(67)
+        for trial in range(200):
+            size = rng.randint(4, 40)
+            density = rng.uniform(0.05, 0.5)
+            depth = rng.randint(1, 4)
+            layer = ([0] + sorted(rng.randint(1, depth) for _ in range(size - 2))
+                     + [depth + 1])
+            s, t = 0, size - 1
+            arcs = [0] * size
+            ref = nx.DiGraph()
+            ref.add_nodes_from(range(size))
+            for u, v in itertools.combinations(range(size), 2):
+                if trial % 2:
+                    if layer[v] - layer[u] != 1:
+                        continue
+                    if rng.random() < (0.9 if s in (u, v) or t in (u, v) else density):
+                        arcs[u] |= 1 << v
+                        ref.add_edge(u, v, capacity=1)
+                elif rng.random() < density:
+                    if rng.random() < 0.5:
+                        u, v = v, u
+                    arcs[u] |= 1 << v
+                    ref.add_edge(u, v, capacity=1)
+            want = nx.maximum_flow_value(ref, s, t)
+            for cap in range(size):
+                assert _unit_flow(arcs, s, t, cap) == min(want, cap)
 
     def test_complete_bipartite_needs_no_flow(self, monkeypatch):
         # every pair of K_{p,q} that a flow would run on has min(p, q) or

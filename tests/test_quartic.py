@@ -1,11 +1,12 @@
 """Biquadratic root extraction, closed-form index, and the comparison steps."""
 
 import math
+import random
 
 import pytest
 
 from bipartite_estrada.families import join_family
-from bipartite_estrada.quartic import (complete_bipartite_ee,
+from bipartite_estrada.quartic import (_slice_corners, complete_bipartite_ee,
                                        complete_split_deficit, ee_closed_form,
                                        quartic_roots,
                                        quartic_value_at_integer_square,
@@ -162,3 +163,38 @@ class TestSweeps:
     def test_unknown_comparison(self):
         with pytest.raises(ValueError):
             sweep("rotation")
+
+    def test_overflow_raises_instead_of_inf(self):
+        # sqrt(709 * 711) = 709.9993: cosh is finite there, twice it is not
+        assert math.isfinite(math.cosh(math.sqrt(709 * 711)))
+        with pytest.raises(OverflowError):
+            complete_bipartite_ee(709, 711)
+        with pytest.raises(OverflowError):
+            complete_split_deficit(1420, 709)
+        with pytest.raises(OverflowError):
+            ee_closed_form(1, 504098, 1)  # x1 = 709.9993
+        assert math.isfinite(complete_bipartite_ee(708, 709))
+
+    def test_slice_corners_bound_the_grid(self):
+        # the largest cosh argument at the corners is the grid's largest
+        def arguments(v):
+            p, q, s, n = (v.params.get(k) for k in "pqsn")
+            if v.name == "side-swap":
+                pairs = [(p, q, s), (q + s, p - s, s)]
+            elif v.name == "transfer":
+                pairs = [(p, q, s), (p - 1, q + 1, s)]
+            else:
+                return [math.sqrt(s * (n - s)), quartic_roots(n - s - 2, 1, s).x1]
+            return [quartic_roots(*pqs).x1 for pqs in pairs]
+
+        rng = random.Random(73)
+        for _ in range(60):
+            grid = {"max_p": rng.randint(0, 14), "max_q": rng.randint(0, 14),
+                    "max_s": rng.randint(1, 8), "max_n": rng.randint(3, 40)}
+            for comparison in ("side-swap", "transfer", "complete-split"):
+                verdicts = sweep(comparison, **grid)
+                corners = [v for v in _slice_corners(comparison, **grid)
+                           if v.applicable]
+                assert all(v in verdicts for v in corners)
+                assert (max((x for v in corners for x in arguments(v)), default=None)
+                        == max((x for v in verdicts for x in arguments(v)), default=None))

@@ -9,10 +9,10 @@ import pytest
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, find_bipartition, from_biadjacency
 from bipartite_estrada.quartic import quartic_roots
-from bipartite_estrada.spectral import (SPECTRUM_TOLERANCE, _moment_run,
-                                        _spectrum, eigenvalues, estrada,
-                                        moment_series, nullity_exact)
-from oracles import (bf_closed_walks, bipartite_graphs,
+from bipartite_estrada.spectral import (SPECTRUM_TOLERANCE, _char_poly,
+                                        _moment_run, _spectrum, eigenvalues,
+                                        estrada, moment_series, nullity_exact)
+from oracles import (bf_closed_walks, bipartite_graphs, char_poly_big_integer,
                      ee_lapack, fraction_rank, power_moments, random_bipartite,
                      random_graph, spectrum_lapack)
 
@@ -131,6 +131,70 @@ class TestNullity:
             g = random_graph(rng, rng.randint(1, 12), 0.4)
             res = eigenvalues(g)
             assert sum(abs(x) < 1e-6 for x in res.eigenvalues) == res.nullity
+
+
+class TestCharPoly:
+    """The coefficients rebuilt from prime residues against the big-integer
+    oracle; K_n, odd cycles and other non-bipartite graphs have negative
+    coefficients."""
+
+    @staticmethod
+    def check(g, bipartite):
+        e, flag = _char_poly(g)
+        assert flag == bipartite
+        assert list(e) == char_poly_big_integer(g)
+        return e
+
+    def test_complete_bipartite(self):
+        # d = min(p, q), e_1 = pq and every later e_k is 0
+        for p, q in ((1, 1), (1, 6), (2, 5), (7, 3), (20, 42), (31, 31)):
+            e = self.check(complete_bipartite(p, q), True)
+            assert e == (1, p * q) + (0,) * (min(p, q) - 1)
+
+    def test_apex_join(self):
+        # e_1 = c2 and e_2 = c0 of the biquadratic; c0 = 0 when q = 0
+        joins = [(s, p, q) for s in range(1, 4) for p in range(1, 5)
+                 for q in range(0, 4)] + [(4, 30, 27), (20, 21, 20)]
+        for s, p, q in joins:
+            form = quartic_roots(p, q, s)
+            e = self.check(join_family(s, p, q), True)
+            assert e[:3] == (1, form.c2, form.c0)[:len(e)]
+            assert set(e[3:]) <= {0}
+            assert len(e) > 2 or form.c0 == 0
+
+    def test_complete_graphs(self):
+        # spectrum n - 1 once and -1 n - 1 times
+        for n in (3, 4, 5, 8, 17, 62):
+            complete = Graph(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
+            e, bipartite = _char_poly(complete)
+            assert not bipartite
+            assert e == (1,) + tuple(
+                (-1) ** k * (math.comb(n - 1, k) - (n - 1) * math.comb(n - 1, k - 1))
+                for k in range(1, n + 1))
+            if n <= 17:
+                self.check(complete, False)
+
+    def test_odd_cycles(self):
+        for n in (3, 5, 7, 9, 15, 31, 61):
+            cycle = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+            e = self.check(cycle, False)
+            assert min(e) < 0
+
+    def test_edgeless(self):
+        for n in (1, 2, 6):
+            assert self.check(Graph(n, [0] * n), True) == (1,)
+
+    def test_seeded_graphs_to_order_62(self):
+        rng = random.Random(61)
+        for n in (8, 20, 33, 47, 62, 62):
+            for density in (0.1, 0.5, 0.9):
+                a = rng.randint(1, n // 2)
+                bits = [[int(rng.random() < density) for _ in range(n - a)]
+                        for _ in range(a)]
+                self.check(from_biadjacency(a, n - a, bits), True)
+        for n in (6, 13, 29, 45, 62):
+            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            self.check(g, find_bipartition(g) is not None)
 
 
 class TestMoments:
