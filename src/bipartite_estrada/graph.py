@@ -7,7 +7,6 @@ set-algebra style traversals used elsewhere in the package cheap.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -150,29 +149,47 @@ def from_biadjacency(a: int, b: int, bits) -> Graph:
     return Graph(n, rows)
 
 
+def colour_classes(g: Graph) -> list[tuple[int, int]] | None:
+    """The two colour classes of each connected component of ``g`` as
+    bitmasks, or ``None`` if ``g`` has an odd cycle.
+
+    Components come in order of their lowest-index vertex, and the class
+    holding that vertex comes first.  Each component is walked by bitmask
+    frontiers from its lowest vertex; the layer parity gives the class, and
+    an edge from a frontier into its own class closes an odd cycle.
+    """
+    classes = []
+    rest = (1 << g.n) - 1
+    while rest:
+        seen = frontier = rest & -rest
+        sides, parity = [seen, 0], 0
+        while frontier:
+            reach = 0
+            for v in bit_indices(frontier):
+                reach |= g.rows[v]
+            if reach & sides[parity]:
+                return None
+            parity ^= 1
+            frontier = reach & ~seen
+            sides[parity] |= frontier
+            seen |= frontier
+        rest &= ~seen
+        classes.append((sides[0], sides[1]))
+    return classes
+
+
 def find_bipartition(g: Graph) -> Bipartition | None:
     """Canonical two-colouring of ``g``, or ``None`` if an odd cycle exists.
 
     Within each connected component the side containing the component's
     lowest-index vertex goes to ``side_x``, so the result is deterministic.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in bit_indices(g.rows[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_x = frozenset(v for v in range(g.n) if color[v] == 0)
-    side_y = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(side_x, side_y)
+    classes = colour_classes(g)
+    if classes is None:
+        return None
+    side_x = sum(x for x, _ in classes)  # the classes are disjoint
+    side_y = sum(y for _, y in classes)
+    return Bipartition(frozenset(bit_indices(side_x)), frozenset(bit_indices(side_y)))
 
 
 def _upper_triangle_pairs(n: int) -> Iterator[tuple[int, int]]:

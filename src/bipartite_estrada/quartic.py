@@ -27,6 +27,11 @@ class QuarticForm:
     x2: float         # smaller positive root (0 when q == 0)
 
 
+def _coefficients(p: int, q: int, s: int) -> tuple[int, int]:
+    """``(c2, c0)`` of the biquadratic ``x**4 - c2 x**2 + c0`` at ``(p, q, s)``."""
+    return s + p * q + p * s, p * q * s
+
+
 def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
     """Positive roots of ``x**4 - c2 x**2 + c0``, evaluated stably.
 
@@ -35,8 +40,7 @@ def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
     """
     if s < 1 or p < 1 or q < 0:
         raise ValueError("require s >= 1, p >= 1, q >= 0")
-    c2 = s + p * q + p * s
-    c0 = p * q * s
+    c2, c0 = _coefficients(p, q, s)
     disc = c2 * c2 - 4 * c0
     if disc < 0:
         raise AssertionError("biquadratic discriminant cannot be negative here")
@@ -73,8 +77,7 @@ def _finite(index: float) -> float:
 
 def quartic_value_at_integer_square(x_squared: int, p: int, q: int, s: int) -> int:
     """Exact value of ``g(x) = x^4 - x^2 c2 + c0`` when ``x^2`` is an integer."""
-    c2 = s + p * q + p * s
-    c0 = p * q * s
+    c2, c0 = _coefficients(p, q, s)
     return x_squared * x_squared - x_squared * c2 + c0
 
 
@@ -104,11 +107,9 @@ def transfer_root_shift_sign(p: int, q: int, s: int) -> int:
     integers ``P = c2^2 + D - 2 c2 c2' + 4 c0'`` and ``Q = 2 (c2 - c2')``,
     so the sign is decided without floating point.
     """
-    c2 = s + p * q + p * s
-    c0 = p * q * s
+    c2, c0 = _coefficients(p, q, s)
     d = c2 * c2 - 4 * c0
-    c2_shift = s + (p - 1) * (q + 1) + (p - 1) * s
-    c0_shift = (p - 1) * (q + 1) * s
+    c2_shift, c0_shift = _coefficients(p - 1, q + 1, s)
     p_int = c2 * c2 + d - 2 * c2 * c2_shift + 4 * c0_shift
     q_int = 2 * (c2 - c2_shift)
     return _sign_p_plus_q_sqrt(p_int, q_int, d)
@@ -229,25 +230,14 @@ def sweep(comparison: str, *, max_p: int = 12, max_q: int = 12, max_s: int = 12,
     the float range raises ``OverflowError`` before the grid is swept.
     """
     _slice_corners(comparison, max_p, max_q, max_s, max_n)
-    out: list[ComparisonVerdict] = []
+    slices, ps = range(1, max_s + 1), range(1, max_p + 1)
     if comparison == "side-swap":
-        for s in range(1, max_s + 1):
-            for p in range(1, max_p + 1):
-                for q in range(0, max_q + 1):
-                    v = side_swap_gain(p, q, s)
-                    if v.applicable:
-                        out.append(v)
+        verdicts = (side_swap_gain(p, q, s)
+                    for s in slices for p in ps for q in range(max_q + 1))
     elif comparison == "transfer":
-        for s in range(1, max_s + 1):
-            for p in range(1, max_p + 1):
-                for q in range(1, max_q + 1):
-                    v = transfer_gain(p, q, s)
-                    if v.applicable:
-                        out.append(v)
-    elif comparison == "complete-split":
-        for n in range(4, max_n + 1):
-            for s in range(1, max_s + 1):
-                v = complete_split_deficit(n, s)
-                if v.applicable:
-                    out.append(v)
-    return out
+        verdicts = (transfer_gain(p, q, s)
+                    for s in slices for p in ps for q in range(1, max_q + 1))
+    else:
+        verdicts = (complete_split_deficit(n, s)
+                    for n in range(4, max_n + 1) for s in slices)
+    return [v for v in verdicts if v.applicable]

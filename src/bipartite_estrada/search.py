@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import complete_bipartite, join_family
-from .graph import Graph, bit_indices, from_biadjacency
+from .graph import Graph, bit_indices, colour_classes, from_biadjacency
 from .invariants import (ClassDescriptor, _connected_rows, _edge_conn_rows,
                          _kuhn_matching, _vertex_conn_rows, class_member)
 from .spectral import _moment_run, estrada
@@ -107,25 +107,11 @@ def _canonical_key(g: Graph) -> tuple[tuple[int, int, int], ...]:
     Raises ``ValueError`` when ``g`` has an odd cycle, or when a component's
     ``a * b`` exceeds 63, the bits of the int64 mask ``_least_mask`` builds.
     """
+    classes = colour_classes(g)
+    if classes is None:
+        raise ValueError("graph is not bipartite")
     keys = []
-    rest = (1 << g.n) - 1
-    while rest:
-        seen = frontier = rest & -rest
-        sides, parity = [seen, 0], 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= g.rows[low.bit_length() - 1]
-                f ^= low
-            if nxt & sides[parity]:
-                raise ValueError("graph is not bipartite")
-            parity ^= 1
-            frontier = nxt & ~seen
-            sides[parity] |= frontier
-            seen |= frontier
-        rest &= ~seen
+    for sides in classes:
         small, large = sorted(sides, key=int.bit_count)
         a, b = small.bit_count(), large.bit_count()
         if a * b > 63:
@@ -345,12 +331,6 @@ def _least_mask(n: int, a: int, mask: int) -> int:
     return least
 
 
-def _reference_ee(n: int, a: int, mask: int) -> float:
-    """The ``eigen`` index of the split-``(a, n - a)`` mask, left vertices
-    first: one ``eigvalsh`` call on its ``n x n`` adjacency matrix."""
-    return estrada(_graph_from_split(n, a, mask)).value
-
-
 @dataclass
 class ExtremalReport:
     """Verification record for one class scan."""
@@ -384,18 +364,20 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
     keys = sorted({(a, _least_mask(n, a, mask)) for _, a, mask, _ in partial.halo})
     graphs = [_graph_from_split(n, a, mask) for a, mask in keys]
     maximizer = graphs[0]
-    rivals = [g for g in graphs[1:] if not is_isomorphic(maximizer, g)]
+    leader = _canonical_key(maximizer)
+    rivals = [g for g in graphs[1:] if _canonical_key(g) != leader]
     moments = _moment_run(maximizer, n) if rivals else None
     unique = not rivals
     undecided = any(_moment_run(g, n) != moments for g in rivals)
     if not class_member(maximizer, descriptor):
         raise AssertionError("scan produced a maximizer outside its class")
-    max_ee = _reference_ee(n, *keys[0])
+    max_ee = estrada(maximizer).value
     runner_gap = None
     if partial.runner is not None:
         _, a, mask = partial.runner
-        runner_gap = max_ee - _reference_ee(n, a, _least_mask(n, a, mask))
-    matches = None if predicted is None else is_isomorphic(maximizer, predicted)
+        runner = _graph_from_split(n, a, _least_mask(n, a, mask))
+        runner_gap = max_ee - estrada(runner).value
+    matches = None if predicted is None else _canonical_key(predicted) == leader
     return ExtremalReport(
         descriptor, False, scanned, partial.count, duration, predicted,
         maximizer, max_ee, runner_gap, unique, undecided, matches,

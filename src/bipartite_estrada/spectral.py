@@ -223,17 +223,18 @@ def moment_series(g: Graph, k_max: int) -> MomentSeries:
     return MomentSeries(tuple(_moment_run(g, k_max)), k_max)
 
 
-def _series_cutoff(n: int, lam_bound: float, target: float) -> int:
-    """Smallest K with ``n * lam^(K+1) * e^lam / (K+1)! < target``."""
+def _series_cutoff(n: int, lam_bound: float) -> tuple[int, float]:
+    """Smallest K with tail bound ``n * lam^(K+1) * e^lam / (K+1)!`` below
+    ``SERIES_TARGET``, and that bound."""
     if lam_bound <= 0:
-        return 0
-    log_target = math.log(target)
+        return 0, 0.0
+    log_target = math.log(SERIES_TARGET)
     k = 1
     while True:
         log_bound = (math.log(n) + (k + 1) * math.log(lam_bound) + lam_bound
                      - math.lgamma(k + 2))
         if log_bound < log_target:
-            return k
+            return k, math.exp(log_bound)
         k += 1
         if k > 2000:
             raise RuntimeError("series cutoff search did not terminate")
@@ -254,14 +255,13 @@ def index_from_spectrum(spectrum: SpectrumResult, method: str) -> float:
     return total
 
 
-def estrada(g: Graph, method: str = "eigen", *,
-            series_target: float = SERIES_TARGET) -> EstradaValue:
+def estrada(g: Graph, method: str = "eigen") -> EstradaValue:
     """Estrada index by the requested method.
 
     ``cosh`` is only defined for bipartite graphs.  ``moment-series`` reports
     a rigorous truncation bound computed from the max-degree bound on the
     spectral radius; the cutoff is chosen so the bound is below
-    ``series_target``.
+    ``SERIES_TARGET``.
     """
     if method == "eigen":
         return EstradaValue(_exp_sum(_spectrum(g)), "eigen")
@@ -270,8 +270,7 @@ def estrada(g: Graph, method: str = "eigen", *,
             raise ValueError("the cosh identity requires a bipartite graph")
         return EstradaValue(index_from_spectrum(eigenvalues(g), "cosh"), "cosh")
     if method == "moment-series":
-        lam_bound = float(g.max_degree())
-        cutoff = _series_cutoff(g.n, lam_bound, series_target)
+        cutoff, bound = _series_cutoff(g.n, float(g.max_degree()))
         moments = _moment_run(g, cutoff)
         acc = Fraction(0)
         factorial = 1
@@ -279,10 +278,5 @@ def estrada(g: Graph, method: str = "eigen", *,
             if k > 0:
                 factorial *= k
             acc += Fraction(m_k, factorial)
-        if lam_bound == 0:
-            bound = 0.0
-        else:
-            bound = math.exp(math.log(g.n) + (cutoff + 1) * math.log(lam_bound)
-                             + lam_bound - math.lgamma(cutoff + 2))
         return EstradaValue(float(acc), "moment-series", bound)
     raise ValueError(f"unknown method {method!r}")

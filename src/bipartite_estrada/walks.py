@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, bit_indices
+from .spectral import moment_series
 
 WALK_BUDGET = 64
 
@@ -70,18 +71,14 @@ def twin_check(g: Graph, u: int, v: int, k_max: int = 20) -> TwinCheck:
             f"to exactly one of them")
     table = walk_counts(g, k_max)
     # length 0 is excluded: the empty walk exists only from a vertex to itself
-    for k in range(1, k_max + 1):
-        uu = table.count(k, u, u)
-        if not (uu == table.count(k, v, v) == table.count(k, u, v)
-                == table.count(k, v, u)):
-            return TwinCheck(False, k_max, k)
-    return TwinCheck(True, k_max, None)
+    pairs = ((u, u), (v, v), (u, v), (v, u))
+    first = next((k for k in range(1, k_max + 1)
+                  if len({table.count(k, x, y) for x, y in pairs}) > 1), None)
+    return TwinCheck(first is None, k_max, first)
 
 
 def _is_independent(g: Graph, vertices: tuple[int, ...]) -> bool:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
+    mask = sum(1 << v for v in vertices)
     return all(g.rows[v] & mask == 0 for v in vertices)
 
 
@@ -126,17 +123,11 @@ def identify_union(scheme: IdentificationScheme) -> Graph:
     multi-edges arise.
     """
     g1, g2 = scheme.g1, scheme.g2
-    mapping: dict[int, int] = {}
-    for i, v in enumerate(scheme.anchors2):
-        mapping[v] = scheme.anchors1[i]
-    fresh = g1.n
-    for v in range(g2.n):
-        if v not in mapping:
-            mapping[v] = fresh
-            fresh += 1
-    edges = g1.edges()
-    edges += [(mapping[u], mapping[v]) for u, v in g2.edges()]
-    return Graph.from_edges(fresh, edges)
+    mapping = dict(zip(scheme.anchors2, scheme.anchors1))
+    rest = [v for v in range(g2.n) if v not in mapping]
+    mapping.update(zip(rest, range(g1.n, g1.n + len(rest))))
+    edges = g1.edges() + [(mapping[u], mapping[v]) for u, v in g2.edges()]
+    return Graph.from_edges(g1.n + len(rest), edges)
 
 
 @dataclass(frozen=True)
@@ -150,19 +141,46 @@ class DominanceReport:
     """
 
     k_max: int
-    part_moments_ok: bool
     first_part_violation: tuple[int, int] | None     # (part, k)
-    anchored_ok: bool
     first_anchored_violation: tuple[int, int, int] | None  # (i, j, k)
     strict_premise: bool
-    conclusion_ok: bool
     first_conclusion_violation: int | None
     merged: Graph
     merged_other: Graph
 
     @property
+    def part_moments_ok(self) -> bool:
+        return self.first_part_violation is None
+
+    @property
+    def anchored_ok(self) -> bool:
+        return self.first_anchored_violation is None
+
+    @property
+    def conclusion_ok(self) -> bool:
+        return self.first_conclusion_violation is None
+
+    @property
     def premises_hold(self) -> bool:
         return self.part_moments_ok and self.anchored_ok
+
+
+def _first_violation(sequences: dict) -> tuple[tuple | None, bool]:
+    """The first ``(*label, k)`` at which some pair of ``sequences[label]``
+    has ``a > b``, and whether any pair read has ``a < b``.
+
+    ``sequences[label][k - 1]`` holds the ``(a, b)`` pairs compared at
+    length ``k``.  A sequence is read up to its first violated length, whose
+    pairs still count toward strictness.
+    """
+    first, strict = None, False
+    for label, steps in sequences.items():
+        for k, pairs in enumerate(steps, start=1):
+            strict = strict or any(a < b for a, b in pairs)
+            if any(a > b for a, b in pairs):
+                first = first or (*label, k)
+                break
+    return first, strict
 
 
 def dominance_check(scheme: IdentificationScheme,
@@ -170,78 +188,36 @@ def dominance_check(scheme: IdentificationScheme,
                     k_max: int = 20) -> DominanceReport:
     """Check, with exact integers, the premise and conclusion inequalities.
 
-    Requires both schemes to use the same number of anchors.
+    The parts are compared by walk-count tables, which give both the moments
+    and the anchored counts; the identified graphs need only their moments,
+    from :func:`~bipartite_estrada.spectral.moment_series`.  Requires both
+    schemes to use the same number of anchors.
     """
     if scheme.s != other.s:
         raise ValueError("schemes must identify the same number of anchors")
-    s = scheme.s
+    g1, g2 = walk_counts(scheme.g1, k_max), walk_counts(scheme.g2, k_max)
+    h1, h2 = walk_counts(other.g1, k_max), walk_counts(other.g2, k_max)
+    sides = ((g1, scheme.anchors1, h1, other.anchors1),
+             (g2, scheme.anchors2, h2, other.anchors2))
+    lengths = range(1, k_max + 1)
+    first_part, strict_parts = _first_violation({
+        (part,): [[(g.closed_total(k), h.closed_total(k))] for k in lengths]
+        for part, (g, _, h, _) in enumerate(sides, start=1)})
+    first_anchored, strict_anchored = _first_violation({
+        (i, j): [[(g.count(k, a[i], a[j]), h.count(k, b[i], b[j]))
+                  for g, a, h, b in sides] for k in lengths]
+        for i in range(scheme.s) for j in range(scheme.s)})
 
-    tables = {
-        "g1": walk_counts(scheme.g1, k_max),
-        "g2": walk_counts(scheme.g2, k_max),
-        "h1": walk_counts(other.g1, k_max),
-        "h2": walk_counts(other.g2, k_max),
-    }
-
-    part_ok = True
-    first_part = None
-    strict = False
-    for part, (lo, hi) in enumerate((("g1", "h1"), ("g2", "h2")), start=1):
-        for k in range(1, k_max + 1):
-            a = tables[lo].closed_total(k)
-            b = tables[hi].closed_total(k)
-            if a > b:
-                part_ok = False
-                if first_part is None:
-                    first_part = (part, k)
-                break
-            if a < b:
-                strict = True
-
-    anchored_ok = True
-    first_anchored = None
-    for i in range(s):
-        for j in range(s):
-            for k in range(1, k_max + 1):
-                pairs = (
-                    (tables["g1"].count(k, scheme.anchors1[i], scheme.anchors1[j]),
-                     tables["h1"].count(k, other.anchors1[i], other.anchors1[j])),
-                    (tables["g2"].count(k, scheme.anchors2[i], scheme.anchors2[j]),
-                     tables["h2"].count(k, other.anchors2[i], other.anchors2[j])),
-                )
-                violated = False
-                for a, b in pairs:
-                    if a > b:
-                        anchored_ok = False
-                        if first_anchored is None:
-                            first_anchored = (i, j, k)
-                        violated = True
-                    elif a < b:
-                        strict = True
-                if violated:
-                    break
-
-    merged = identify_union(scheme)
-    merged_other = identify_union(other)
-    conclusion_ok = True
-    first_conclusion = None
-    merged_tab = walk_counts(merged, k_max)
-    other_tab = walk_counts(merged_other, k_max)
-    for k in range(1, k_max + 1):
-        if merged_tab.closed_total(k) > other_tab.closed_total(k):
-            conclusion_ok = False
-            first_conclusion = k
-            break
-
+    merged, merged_other = identify_union(scheme), identify_union(other)
+    lo = moment_series(merged, k_max).moments
+    hi = moment_series(merged_other, k_max).moments
     return DominanceReport(
         k_max=k_max,
-        part_moments_ok=part_ok,
         first_part_violation=first_part,
-        anchored_ok=anchored_ok,
         first_anchored_violation=first_anchored,
-        strict_premise=strict,
-        conclusion_ok=conclusion_ok,
-        first_conclusion_violation=first_conclusion,
+        strict_premise=strict_parts or strict_anchored,
+        first_conclusion_violation=next(
+            (k for k in lengths if lo[k] > hi[k]), None),
         merged=merged,
         merged_other=merged_other,
     )

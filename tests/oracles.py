@@ -11,6 +11,9 @@ multiset of left rows (production scans one representative per
 ``S_a x S_b`` orbit, from an orderly generator).  The
 corrected connectivity-class maximizer is derived from the paper's own
 comparison lemmas rather than taken from ``search.predicted_maximizer``.
+The moment-dominance report and the comparison sweeps are rebuilt by
+explicit loops with flags (production searches each for its first
+violation, and filters one stream of verdicts).
 Spectra come from numpy's LAPACK ``eigvalsh``, the production eigensolver
 too; the check independent of it is the exact ``moment-series`` route, and
 the tests hold the float spectrum to closed forms and exact power sums.
@@ -25,6 +28,9 @@ import numpy as np
 
 from bipartite_estrada import search
 from bipartite_estrada.families import join_family
+from bipartite_estrada.quartic import (complete_split_deficit, side_swap_gain,
+                                       transfer_gain)
+from bipartite_estrada.walks import identify_union, walk_counts
 from bipartite_estrada.graph import (Graph, bit_indices, find_bipartition,
                                      from_biadjacency)
 from bipartite_estrada.invariants import (ClassDescriptor, _connected_rows,
@@ -201,6 +207,108 @@ def power_moments(g: Graph, k: int) -> list[int]:
         power = power @ adjacency
         moments.append(int(np.trace(power)))
     return moments
+
+
+def dominance_reference(scheme, other, k_max: int) -> dict:
+    """The fields of ``walks.dominance_check(scheme, other, k_max)``, from
+    three separate loops with explicit flags over walk-count tables of all
+    six graphs (production reads the identified graphs' moments from the
+    characteristic polynomial).  Strictness counts ``a < b`` for both anchored
+    pairs at the length where a violation stops an ``(i, j)`` sequence."""
+    if scheme.s != other.s:
+        raise ValueError("schemes must identify the same number of anchors")
+    s = scheme.s
+    tables = {
+        "g1": walk_counts(scheme.g1, k_max),
+        "g2": walk_counts(scheme.g2, k_max),
+        "h1": walk_counts(other.g1, k_max),
+        "h2": walk_counts(other.g2, k_max),
+    }
+
+    part_ok = True
+    first_part = None
+    strict = False
+    for part, (lo, hi) in enumerate((("g1", "h1"), ("g2", "h2")), start=1):
+        for k in range(1, k_max + 1):
+            a = tables[lo].closed_total(k)
+            b = tables[hi].closed_total(k)
+            if a > b:
+                part_ok = False
+                if first_part is None:
+                    first_part = (part, k)
+                break
+            if a < b:
+                strict = True
+
+    anchored_ok = True
+    first_anchored = None
+    for i in range(s):
+        for j in range(s):
+            for k in range(1, k_max + 1):
+                pairs = (
+                    (tables["g1"].count(k, scheme.anchors1[i], scheme.anchors1[j]),
+                     tables["h1"].count(k, other.anchors1[i], other.anchors1[j])),
+                    (tables["g2"].count(k, scheme.anchors2[i], scheme.anchors2[j]),
+                     tables["h2"].count(k, other.anchors2[i], other.anchors2[j])),
+                )
+                violated = False
+                for a, b in pairs:
+                    if a > b:
+                        anchored_ok = False
+                        if first_anchored is None:
+                            first_anchored = (i, j, k)
+                        violated = True
+                    elif a < b:
+                        strict = True
+                if violated:
+                    break
+
+    merged = identify_union(scheme)
+    merged_other = identify_union(other)
+    conclusion_ok = True
+    first_conclusion = None
+    merged_tab = walk_counts(merged, k_max)
+    other_tab = walk_counts(merged_other, k_max)
+    for k in range(1, k_max + 1):
+        if merged_tab.closed_total(k) > other_tab.closed_total(k):
+            conclusion_ok = False
+            first_conclusion = k
+            break
+
+    return {"k_max": k_max, "part_moments_ok": part_ok,
+            "first_part_violation": first_part, "anchored_ok": anchored_ok,
+            "first_anchored_violation": first_anchored, "strict_premise": strict,
+            "conclusion_ok": conclusion_ok,
+            "first_conclusion_violation": first_conclusion,
+            "merged": merged, "merged_other": merged_other}
+
+
+def sweep_reference(comparison: str, *, max_p: int = 12, max_q: int = 12,
+                    max_s: int = 12, max_n: int = 40) -> list:
+    """The applicable verdicts of ``quartic.sweep`` over the same grid, in the
+    same order, from one explicit loop nest per comparison."""
+    out = []
+    if comparison == "side-swap":
+        for s in range(1, max_s + 1):
+            for p in range(1, max_p + 1):
+                for q in range(0, max_q + 1):
+                    v = side_swap_gain(p, q, s)
+                    if v.applicable:
+                        out.append(v)
+    elif comparison == "transfer":
+        for s in range(1, max_s + 1):
+            for p in range(1, max_p + 1):
+                for q in range(1, max_q + 1):
+                    v = transfer_gain(p, q, s)
+                    if v.applicable:
+                        out.append(v)
+    elif comparison == "complete-split":
+        for n in range(4, max_n + 1):
+            for s in range(1, max_s + 1):
+                v = complete_split_deficit(n, s)
+                if v.applicable:
+                    out.append(v)
+    return out
 
 
 def char_poly_big_integer(g: Graph) -> list[int]:

@@ -5,9 +5,11 @@ import random
 import networkx as nx
 import pytest
 
-from bipartite_estrada.graph import (Graph, Graph6Error, emit_graph6,
+from bipartite_estrada.graph import (Graph, Graph6Error, bit_indices,
+                                     colour_classes, emit_graph6,
                                      find_bipartition, from_biadjacency,
                                      parse_graph6)
+from bipartite_estrada.search import _canonical_key
 from oracles import all_graphs, bf_is_bipartite, random_graph
 
 
@@ -86,6 +88,44 @@ class TestBipartition:
             assert not bip.side_x & bip.side_y
             for u, v in g.edges():
                 assert (u in bip.side_x) != (v in bip.side_x)
+
+    def test_colour_classes_per_component(self):
+        # isolated 0 and 3, the edge 1-4, the path 2-5-6-7
+        g = Graph.from_edges(8, [(1, 4), (2, 5), (5, 6), (6, 7)])
+        assert colour_classes(g) == [(0b1, 0), (0b10, 0b10000),
+                                     (0b1000100, 0b10100000), (0b1000, 0)]
+        bip = find_bipartition(g)
+        assert bip.side_x == frozenset({0, 1, 2, 3, 6})
+        assert bip.side_y == frozenset({4, 5, 7})
+        assert colour_classes(Graph(1, [0])) == [(1, 0)]
+        assert colour_classes(Graph(3, [0, 0, 0])) == [(1, 0), (2, 0), (4, 0)]
+
+    def test_odd_cycle_in_a_later_component(self):
+        # a bipartite path 0-1-2 and isolated 3 before a 5-cycle on 4..8
+        cycle = [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+        g = Graph.from_edges(10, [(0, 1), (1, 2)] + cycle)
+        assert colour_classes(g) is None
+        assert find_bipartition(g) is None
+        with pytest.raises(ValueError, match="not bipartite"):
+            _canonical_key(g)
+
+    def test_colour_classes_against_networkx(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.2, 0.35)))
+            classes = colour_classes(g)
+            graph = nx.Graph(g.edges())
+            graph.add_nodes_from(range(g.n))
+            assert (classes is not None) == nx.is_bipartite(graph)
+            if classes is None:
+                continue
+            components = sorted(nx.connected_components(graph), key=min)
+            assert len(classes) == len(components)
+            for (x, y), component in zip(classes, components):
+                assert x & y == 0 and x & (1 << min(component))
+                assert set(bit_indices(x | y)) == component
+                for side in (x, y):
+                    assert all(g.rows[v] & side == 0 for v in bit_indices(side))
 
 
 class TestGraph6:

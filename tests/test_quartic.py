@@ -13,6 +13,7 @@ from bipartite_estrada.quartic import (_slice_corners, complete_bipartite_ee,
                                        side_swap_gain, sweep, transfer_gain,
                                        transfer_root_shift_sign)
 from bipartite_estrada.spectral import estrada, eigenvalues, nullity_exact
+from oracles import sweep_reference
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -198,3 +199,13 @@ class TestSweeps:
                 assert all(v in verdicts for v in corners)
                 assert (max((x for v in corners for x in arguments(v)), default=None)
                         == max((x for v in verdicts for x in arguments(v)), default=None))
+
+    def test_sweep_matches_reference(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            grid = {"max_p": rng.randint(0, 16), "max_q": rng.randint(0, 16),
+                    "max_s": rng.randint(1, 9), "max_n": rng.randint(3, 45)}
+            for comparison in ("side-swap", "transfer", "complete-split"):
+                want = sweep_reference(comparison, **grid)
+                got = sweep(comparison, **grid)
+                assert [(v, v.params) for v in got] == [(v, v.params) for v in want]

@@ -11,7 +11,7 @@ from bipartite_estrada.spectral import moment_series
 from bipartite_estrada.walks import (IdentificationScheme, dominance_check,
                                      identify_union, twin_check, walk_counts)
 from bipartite_estrada.search import is_isomorphic
-from oracles import bf_walk_count, random_bipartite
+from oracles import bf_walk_count, dominance_reference, random_bipartite
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -224,6 +224,47 @@ class TestDominance:
             assert report.premises_hold
             assert report.conclusion_ok, (scheme, other)
             checked += 1
+
+    def test_matches_reference_on_seeded_pairs(self):
+        # three shapes: independent random parts, the same parts anchored
+        # elsewhere (equal part moments, so strictness comes from the
+        # anchored counts alone), and nested supergraph parts
+        rng = random.Random(29)
+        seen = {"part": 0, "anchored": 0, "conclusion": 0, "strict": 0,
+                "lax": 0, "clean": 0}
+        checked = 0
+        while checked < 360:
+            shape = checked % 3
+            g1, g2 = random_bipartite(rng, 7), random_bipartite(rng, 7)
+            if shape == 1:
+                h1, h2 = g1, g2
+            elif shape == 2:
+                s1, s2 = _independent_set(g1, rng), _independent_set(g2, rng)
+                h1 = _add_random_edges(g1, s1, rng)
+                h2 = _add_random_edges(g2, s2, rng)
+            else:
+                h1, h2 = random_bipartite(rng, 7), random_bipartite(rng, 7)
+            if shape != 2:
+                s1, s2 = _independent_set(g1, rng), _independent_set(g2, rng)
+            t1, t2 = _independent_set(h1, rng), _independent_set(h2, rng)
+            s = min(len(s1), len(s2), len(t1), len(t2), 3)
+            if shape == 2:
+                t1, t2 = s1, s2
+            scheme = IdentificationScheme(g1, s1[:s], g2, s2[:s])
+            other = IdentificationScheme(h1, t1[:s], h2, t2[:s])
+            k_max = rng.choice((0, 1, 2, 3, 4, 6, 9, 14, 20))
+            want = dominance_reference(scheme, other, k_max)
+            report = dominance_check(scheme, other, k_max=k_max)
+            assert {key: getattr(report, key) for key in want} == want, \
+                (scheme, other, k_max)
+            seen["part"] += not report.part_moments_ok
+            seen["anchored"] += not report.anchored_ok
+            seen["conclusion"] += not report.conclusion_ok
+            seen["strict"] += report.strict_premise
+            seen["lax"] += not report.strict_premise and k_max > 0
+            seen["clean"] += report.premises_hold and report.conclusion_ok
+            checked += 1
+        assert min(seen.values()) >= 20, seen
 
     def test_anchor_count_mismatch_rejected(self):
         edge = Graph.from_edges(2, [(0, 1)])
