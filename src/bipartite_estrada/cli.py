@@ -407,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliUsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except Graph6Error as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 3
-    except FileNotFoundError as exc:
+    except (Graph6Error, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 3
 

@@ -5,12 +5,15 @@ underscore-prefixed helpers work on raw bitmask rows so that the exhaustive
 search can call them without constructing Graph objects per candidate.  All
 arithmetic is integer, and both connectivities count disjoint paths with one
 unit-capacity flow routine, by blocking flows over BFS level masks (Dinic;
-Even and Tarjan, SIAM J. Comput. 4, 1975).
+Even and Tarjan, SIAM J. Comput. 4, 1975), with no articulation or bridge
+pass.  ``_vertex_conn_rows`` and ``_edge_conn_rows`` need a connected graph:
+there every flow is at least 1, so each stops as soon as its least flow is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import Graph, bit_indices, find_bipartition
 
@@ -49,16 +52,8 @@ class ClassDescriptor:
 # ---------------------------------------------------------------------------
 
 def _connected_rows(rows, n: int) -> bool:
-    return _connected_within(rows, (1 << n) - 1)
-
-
-def _connected_within(rows, alive: int) -> bool:
-    """Connectivity of the subgraph induced on the vertex set ``alive``."""
-    if alive == 0:
-        return True
-    start = alive & -alive
-    seen = start
-    frontier = start
+    """Connectivity of the graph on vertices ``0..n-1``, by a frontier walk."""
+    seen = frontier = 1
     while frontier:
         nxt = 0
         f = frontier
@@ -66,45 +61,9 @@ def _connected_within(rows, alive: int) -> bool:
             low = f & -f
             nxt |= rows[low.bit_length() - 1]
             f ^= low
-        frontier = nxt & alive & ~seen
+        frontier = nxt & ~seen
         seen |= frontier
-    return seen == alive
-
-
-def _has_cut_vertex(rows, n: int) -> bool:
-    full = (1 << n) - 1
-    for v in range(n):
-        if not _connected_within(rows, full ^ (1 << v)):
-            return True
-    return False
-
-
-def _has_bridge(rows, n: int) -> bool:
-    # DFS low-link over a connected graph
-    disc = [-1] * n
-    low = [0] * n
-    stack = [(0, -1, iter(tuple(bit_indices(rows[0]))))]
-    disc[0] = low[0] = 0
-    timer = 1
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(tuple(bit_indices(rows[w])))))
-                advanced = True
-                break
-            if w != parent:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    return True
-    return False
+    return seen == (1 << n) - 1
 
 
 def _kuhn_matching(rows, left) -> int:
@@ -241,45 +200,43 @@ def _vertex_flow(rows, n: int, s: int, t: int, cap: int) -> int:
     return k + _unit_flow(arcs, s + n, t, cap - k)
 
 
-def _vertex_conn_rows(rows, n: int) -> int:
-    """Vertex connectivity of a connected graph given as rows.
-
-    A complete graph has no non-adjacent pair, so it keeps its minimum
-    degree ``n - 1``; the one-vertex graph gets 0.
-    """
-    if _has_cut_vertex(rows, n):
-        return 1
-    degrees = [rows[v].bit_count() for v in range(n)]
-    best = min(degrees)
-    v0 = degrees.index(best)
-    for u in range(n):
-        if u != v0 and not (rows[v0] >> u) & 1:
-            best = min(best, _vertex_flow(rows, n, v0, u, best))
-    nb = tuple(bit_indices(rows[v0]))
-    for i in range(len(nb)):
-        for j in range(i + 1, len(nb)):
-            x, y = nb[i], nb[j]
-            if not (rows[x] >> y) & 1:
-                best = min(best, _vertex_flow(rows, n, x, y, best))
-    return best
-
-
 def _edge_flow(rows, n: int, s: int, t: int, cap: int) -> int:
     """Edge-disjoint s-t path count with early exit at ``cap``."""
     return _unit_flow(rows, s, t, cap)
 
 
-def _edge_conn_rows(rows, n: int) -> int:
-    """Edge connectivity of a connected graph given as rows."""
-    if _has_bridge(rows, n):
-        return 1
-    degrees = [rows[v].bit_count() for v in range(n)]
-    best = min(degrees)
-    v0 = degrees.index(best)
-    for u in range(n):
-        if u != v0:
-            best = min(best, _edge_flow(rows, n, v0, u, best))
+def _least_flow(flow, rows, n: int, best: int, pairs) -> int:
+    """The least of ``best`` and the flows over ``pairs``, each capped at the
+    least so far; it stops at 1, below which no flow of a connected graph goes."""
+    for s, t in pairs:
+        if best <= 1:
+            break
+        best = min(best, flow(rows, n, s, t, best))
     return best
+
+
+def _vertex_conn_rows(rows, n: int) -> int:
+    """Vertex connectivity of a connected graph given as rows: the least of
+    the minimum degree and the vertex flows from one minimum-degree vertex
+    ``v0`` to its non-neighbours and between the non-adjacent pairs of its
+    neighbours (Esfahanian and Hakimi), stopping at 1.  A complete graph
+    keeps its minimum degree ``n - 1``; the one-vertex graph gets 0."""
+    best, v0 = min((rows[v].bit_count(), v) for v in range(n))
+    nb = tuple(bit_indices(rows[v0]))
+    far = bit_indices(((1 << n) - 1) & ~rows[v0] & ~(1 << v0))
+    pairs = chain(((v0, u) for u in far),
+                  ((x, y) for i, x in enumerate(nb) for y in nb[i + 1:]
+                   if not (rows[x] >> y) & 1))
+    return _least_flow(_vertex_flow, rows, n, best, pairs)
+
+
+def _edge_conn_rows(rows, n: int) -> int:
+    """Edge connectivity of a connected graph given as rows: the least of the
+    minimum degree and the edge flows from one minimum-degree vertex to every
+    other vertex, stopping at 1."""
+    best, v0 = min((rows[v].bit_count(), v) for v in range(n))
+    pairs = ((v0, u) for u in range(n) if u != v0)
+    return _least_flow(_edge_flow, rows, n, best, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,16 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--graph6", "~oops")
         assert code == 3 and "parse error" in err
 
+    @pytest.mark.parametrize("command", ["compute", "moments"])
+    def test_unreadable_file_exit3(self, capsys, tmp_path, command):
+        # a directory and a file that is not UTF-8 are parse errors, not
+        # tracebacks with the verification-failure code
+        binary = tmp_path / "binary.g6"
+        binary.write_bytes(b"D]o\n\xff\xfe\n")
+        for path in (tmp_path, binary):
+            code, out, err = run(capsys, command, "--file", str(path))
+            assert code == 3 and err.startswith("parse error:") and out == ""
+
     def test_missing_input_exit2(self, capsys):
         code, _, err = run(capsys, "compute")
         assert code == 2 and "usage error" in err

@@ -6,11 +6,12 @@ import random
 import networkx as nx
 import pytest
 
-from bipartite_estrada import invariants
+from bipartite_estrada import invariants, search
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, from_biadjacency
-from bipartite_estrada.invariants import (ClassDescriptor, _unit_flow,
-                                          _vertex_flow,
+from bipartite_estrada.invariants import (ClassDescriptor, _connected_rows,
+                                          _edge_conn_rows, _unit_flow,
+                                          _vertex_conn_rows, _vertex_flow,
                                           class_member, edge_connectivity,
                                           matching_number, vertex_connectivity)
 from oracles import (all_graphs, bf_edge_connectivity,
@@ -92,7 +93,7 @@ class TestConnectivity:
         assert edge_connectivity(g) == 0
 
     def test_exhaustive_all_graphs(self):
-        # flows + articulation fast paths vs subset-removal oracles, n <= 5
+        # the capped flow loops vs subset-removal oracles, n <= 5
         for n in range(1, 6):
             for g in all_graphs(n):
                 assert vertex_connectivity(g) == bf_vertex_connectivity(g)
@@ -154,6 +155,27 @@ class TestConnectivity:
             for s, t in rng.sample(pairs, 4):
                 assert _vertex_flow(g.rows, g.n, s, t, g.n) == \
                     nx.node_connectivity(ref, s, t)
+
+    @pytest.mark.parametrize("n, connected", [(7, 44), (8, 239)])
+    def test_orbit_representatives_against_networkx(self, n, connected):
+        # every connected S_a x S_b representative the scan meets at this
+        # order, labelled as the scan labels it; the brute-force oracles
+        # stop at n = 6, and many of these graphs have kappa or lambda 1,
+        # where both loops stop
+        seen = 0
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            columns, _ = search._orbits(a, b, 0, len(search._prefixes(a, b)[0]))
+            for cols in columns.tolist():
+                g = from_biadjacency(a, b, [[(c >> i) & 1 for c in cols]
+                                            for i in range(a)])
+                if not _connected_rows(g.rows, n):
+                    continue
+                seen += 1
+                ref = nx.Graph(g.edges())
+                assert _vertex_conn_rows(g.rows, n) == nx.node_connectivity(ref)
+                assert _edge_conn_rows(g.rows, n) == nx.edge_connectivity(ref)
+        assert seen == connected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_local_vertex_flow_every_cap(self, n):
