@@ -8,7 +8,7 @@ Commands: ``compute`` (invariants and the index of given graphs),
 Reports are reproducible: floats are serialized with 17 significant digits
 and the comparison payload carries no timestamps; durations go to a separate
 timing sidecar.  Exit codes: 0 success/verified, 1 verification failure,
-2 usage error, 3 input parse error.
+2 usage error, 3 input parse error, 4 an output file could not be written.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .spectral import (MOMENT_BUDGET, SPECTRUM_TOLERANCE, estrada, eigenvalues,
 
 
 class CliUsageError(Exception):
+    pass
+
+
+class CliWriteError(Exception):
     pass
 
 
@@ -79,9 +83,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_file(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliWriteError(str(exc)) from exc
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -314,8 +325,8 @@ def _cmd_verify(args) -> int:
     csv_text = _csv_text(list(records[0]), [list(r.values()) for r in records])
     if args.out:
         out = Path(args.out)
-        out.write_text(json_text, encoding="utf-8")
-        out.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
+        _write_file(out, json_text)
+        _write_file(out.with_suffix(".csv"), csv_text)
         timing = {
             "classes": [{"kind": r.descriptor.kind, "n": r.descriptor.n,
                          "value": r.descriptor.value,
@@ -323,8 +334,7 @@ def _cmd_verify(args) -> int:
             "total_seconds": sum({(r.descriptor.kind, r.descriptor.n): r.duration
                                   for r in reports}.values()),
         }
-        out.with_suffix(".timing.json").write_text(stable_json(timing) + "\n",
-                                                   encoding="utf-8")
+        _write_file(out.with_suffix(".timing.json"), stable_json(timing) + "\n")
     else:
         sys.stdout.write(json_text)
     for r in failing:
@@ -399,14 +409,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, then reused
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CliUsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
+    except CliWriteError as exc:
+        sys.stderr.write(f"write error: {exc}\n")
+        return 4
     except (Graph6Error, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 3

@@ -32,8 +32,9 @@ def _coefficients(p: int, q: int, s: int) -> tuple[int, int]:
     return s + p * q + p * s, p * q * s
 
 
-def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
-    """Positive roots of ``x**4 - c2 x**2 + c0``, evaluated stably.
+def _roots(p: int, q: int, s: int) -> tuple[float, float]:
+    """``(x1, x2)``, the positive roots of ``x**4 - c2 x**2 + c0``, evaluated
+    stably.
 
     The larger squared root uses the explicit formula; the smaller one is
     recovered as ``c0 / t1`` to avoid cancellation when ``c0 << c2**2``.
@@ -46,7 +47,13 @@ def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
         raise AssertionError("biquadratic discriminant cannot be negative here")
     t1 = (c2 + math.sqrt(disc)) / 2.0
     t2 = c0 / t1 if t1 > 0 else 0.0
-    return QuarticForm(p, q, s, c2, c0, math.sqrt(t1), math.sqrt(t2))
+    return math.sqrt(t1), math.sqrt(t2)
+
+
+def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
+    """Coefficients and positive roots of the biquadratic at ``(p, q, s)``."""
+    x1, x2 = _roots(p, q, s)
+    return QuarticForm(p, q, s, *_coefficients(p, q, s), x1, x2)
 
 
 def complete_bipartite_ee(n1: int, n2: int) -> float:
@@ -61,9 +68,9 @@ def complete_bipartite_ee(n1: int, n2: int) -> float:
 def ee_closed_form(p: int, q: int, s: int) -> float:
     """Closed-form index of the apex join family on ``s + p + q + 1`` vertices:
     ``n - 4 + 2cosh(x1) + 2cosh(x2)``."""
-    form = quartic_roots(p, q, s)
+    x1, x2 = _roots(p, q, s)
     n = s + p + q + 1
-    return _finite(n - 4 + 2.0 * math.cosh(form.x1) + 2.0 * math.cosh(form.x2))
+    return _finite(n - 4 + 2.0 * math.cosh(x1) + 2.0 * math.cosh(x2))
 
 
 def _finite(index: float) -> float:
@@ -135,6 +142,18 @@ class ComparisonVerdict:
         return self.rhs - self.lhs
 
 
+def _side_swap_blocker(p: int, q: int, s: int) -> str | None:
+    """Why :func:`side_swap_gain` is not applicable at ``(p, q, s)``, or
+    ``None`` when it is."""
+    if s < 1 or p < 1 or q < 0:
+        return "require s>=1, p>=1, q>=0"
+    if p < s:
+        return "swapped block needs p >= s"
+    if not p < q + s:
+        return "requires p < q + s"
+    return None
+
+
 def side_swap_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     """Strict index gain of swapping the block ``K_{p,q}`` to ``K_{q+s,p-s}``.
 
@@ -142,15 +161,22 @@ def side_swap_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     exists).  Expected: strict increase.
     """
     params = {"p": p, "q": q, "s": s}
-    if s < 1 or p < 1 or q < 0:
-        return ComparisonVerdict("side-swap", params, False, "require s>=1, p>=1, q>=0")
-    if p < s:
-        return ComparisonVerdict("side-swap", params, False, "swapped block needs p >= s")
-    if not p < q + s:
-        return ComparisonVerdict("side-swap", params, False, "requires p < q + s")
+    reason = _side_swap_blocker(p, q, s)
+    if reason is not None:
+        return ComparisonVerdict("side-swap", params, False, reason)
     lhs = ee_closed_form(p, q, s)
     rhs = ee_closed_form(q + s, p - s, s)
     return ComparisonVerdict("side-swap", params, True, None, lhs, rhs, lhs < rhs)
+
+
+def _transfer_blocker(p: int, q: int, s: int) -> str | None:
+    """Why :func:`transfer_gain` is not applicable at ``(p, q, s)``, or
+    ``None`` when it is."""
+    if s < 1 or p < 1 or q < 0:
+        return "require s>=1, p>=1, q>=0"
+    if not (p > q + s + 1 and q > 0):
+        return "requires p > q+s+1 and q > 0"
+    return None
 
 
 def transfer_gain(p: int, q: int, s: int) -> ComparisonVerdict:
@@ -160,14 +186,24 @@ def transfer_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     increase; the exact root-shift sign must be negative.
     """
     params = {"p": p, "q": q, "s": s}
-    if s < 1 or p < 1 or q < 0:
-        return ComparisonVerdict("transfer", params, False, "require s>=1, p>=1, q>=0")
-    if not (p > q + s + 1 and q > 0):
-        return ComparisonVerdict("transfer", params, False, "requires p > q+s+1 and q > 0")
+    reason = _transfer_blocker(p, q, s)
+    if reason is not None:
+        return ComparisonVerdict("transfer", params, False, reason)
     lhs = ee_closed_form(p, q, s)
     rhs = ee_closed_form(p - 1, q + 1, s)
     sign = transfer_root_shift_sign(p, q, s)
     return ComparisonVerdict("transfer", params, True, None, lhs, rhs, lhs < rhs, sign)
+
+
+def _complete_split_blocker(n: int, s: int) -> str | None:
+    """Why :func:`complete_split_deficit` is not applicable at ``(n, s)``, or
+    ``None`` when it is."""
+    ceil_half = -(-(n - 1) // 2)
+    if not 1 <= s <= ceil_half - 1:
+        return "requires 1 <= s <= ceil((n-1)/2) - 1"
+    if n - s - 2 < 1:
+        return "join block needs n - s - 2 >= 1"
+    return None
 
 
 def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
@@ -179,13 +215,9 @@ def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
     negative.  Both the inequality and the sign fail when ``n = 2s + 2``.
     """
     params = {"n": n, "s": s}
-    ceil_half = -(-(n - 1) // 2)
-    if not 1 <= s <= ceil_half - 1:
-        return ComparisonVerdict("complete-split", params, False,
-                                 "requires 1 <= s <= ceil((n-1)/2) - 1")
-    if n - s - 2 < 1:
-        return ComparisonVerdict("complete-split", params, False,
-                                 "join block needs n - s - 2 >= 1")
+    reason = _complete_split_blocker(n, s)
+    if reason is not None:
+        return ComparisonVerdict("complete-split", params, False, reason)
     lhs = complete_bipartite_ee(s, n - s)
     rhs = ee_closed_form(n - s - 2, 1, s)
     sign_value = -s * ((n - 2 * s - 3) * (n - s) + 2)
@@ -228,16 +260,15 @@ def sweep(comparison: str, *, max_p: int = 12, max_q: int = 12, max_s: int = 12,
 
     The largest point of each ``s`` is evaluated first, so an index beyond
     the float range raises ``OverflowError`` before the grid is swept.
+    Then a verdict is built only where the comparison is applicable.
     """
     _slice_corners(comparison, max_p, max_q, max_s, max_n)
     slices, ps = range(1, max_s + 1), range(1, max_p + 1)
     if comparison == "side-swap":
-        verdicts = (side_swap_gain(p, q, s)
-                    for s in slices for p in ps for q in range(max_q + 1))
-    elif comparison == "transfer":
-        verdicts = (transfer_gain(p, q, s)
-                    for s in slices for p in ps for q in range(1, max_q + 1))
-    else:
-        verdicts = (complete_split_deficit(n, s)
-                    for n in range(4, max_n + 1) for s in slices)
-    return [v for v in verdicts if v.applicable]
+        return [side_swap_gain(p, q, s) for s in slices for p in ps
+                for q in range(max_q + 1) if _side_swap_blocker(p, q, s) is None]
+    if comparison == "transfer":
+        return [transfer_gain(p, q, s) for s in slices for p in ps
+                for q in range(1, max_q + 1) if _transfer_blocker(p, q, s) is None]
+    return [complete_split_deficit(n, s) for n in range(4, max_n + 1) for s in slices
+            if _complete_split_blocker(n, s) is None]

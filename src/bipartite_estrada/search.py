@@ -53,7 +53,6 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Sequence
 
 import numpy as np
@@ -382,6 +381,13 @@ def _finalize(descriptor: ClassDescriptor, partial: _Partial, scanned: int,
         descriptor, False, scanned, partial.count, duration, predicted,
         maximizer, max_ee, runner_gap, unique, undecided, matches,
         near_tie_count=sum(e[3] for e in partial.halo))
+
+
+def Pool(processes: int):
+    """``multiprocessing.Pool``, imported by the first pooled scan, so that
+    a serial run never loads ``multiprocessing``."""
+    from multiprocessing import Pool as pool
+    return pool(processes=processes)
 
 
 def _default_values(n: int) -> list[int]:

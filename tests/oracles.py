@@ -13,7 +13,8 @@ corrected connectivity-class maximizer is derived from the paper's own
 comparison lemmas rather than taken from ``search.predicted_maximizer``.
 The moment-dominance report and the comparison sweeps are rebuilt by
 explicit loops with flags (production searches each for its first
-violation, and filters one stream of verdicts).
+violation, and builds verdicts only at applicable points); the closed-form
+index is rebuilt from the ``QuarticForm`` of ``quartic_roots``.
 Spectra come from numpy's LAPACK ``eigvalsh``, the production eigensolver
 too; the check independent of it is the exact ``moment-series`` route, and
 the tests hold the float spectrum to closed forms and exact power sums.
@@ -28,8 +29,8 @@ import numpy as np
 
 from bipartite_estrada import search
 from bipartite_estrada.families import join_family
-from bipartite_estrada.quartic import (complete_split_deficit, side_swap_gain,
-                                       transfer_gain)
+from bipartite_estrada.quartic import (complete_split_deficit, quartic_roots,
+                                       side_swap_gain, transfer_gain)
 from bipartite_estrada.walks import identify_union, walk_counts
 from bipartite_estrada.graph import (Graph, bit_indices, find_bipartition,
                                      from_biadjacency)
@@ -281,6 +282,17 @@ def dominance_reference(scheme, other, k_max: int) -> dict:
             "conclusion_ok": conclusion_ok,
             "first_conclusion_violation": first_conclusion,
             "merged": merged, "merged_other": merged_other}
+
+
+def ee_reference(p: int, q: int, s: int) -> float:
+    """``n - 4 + 2cosh(x1) + 2cosh(x2)`` from the roots of ``quartic_roots``,
+    with the evaluation order of ``quartic.ee_closed_form``."""
+    form = quartic_roots(p, q, s)
+    n = s + p + q + 1
+    index = n - 4 + 2.0 * math.cosh(form.x1) + 2.0 * math.cosh(form.x2)
+    if math.isinf(index):
+        raise OverflowError("index exceeds the float range")
+    return index
 
 
 def sweep_reference(comparison: str, *, max_p: int = 12, max_q: int = 12,

@@ -119,11 +119,11 @@ class TestCompute:
 
     @pytest.mark.parametrize("command", ["compute", "moments"])
     def test_unreadable_file_exit3(self, capsys, tmp_path, command):
-        # a directory and a file that is not UTF-8 are parse errors, not
-        # tracebacks with the verification-failure code
+        # a directory, a missing file and a file that is not UTF-8 are parse
+        # errors, not tracebacks with the verification-failure code
         binary = tmp_path / "binary.g6"
         binary.write_bytes(b"D]o\n\xff\xfe\n")
-        for path in (tmp_path, binary):
+        for path in (tmp_path, tmp_path / "missing.g6", binary):
             code, out, err = run(capsys, command, "--file", str(path))
             assert code == 3 and err.startswith("parse error:") and out == ""
 
@@ -263,6 +263,12 @@ class TestCompare:
             assert "no applicable point" in err
             assert not out.exists()
 
+    def test_out_in_missing_directory_exit4(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "grid.csv"
+        code, stdout, err = run(capsys, "compare", "--lemma", "4.1", "--max-p", "4",
+                                "--max-q", "4", "--max-s", "4", "--out", str(out))
+        assert code == 4 and err.startswith("write error:") and stdout == ""
+
     def test_float_overflow_exit2(self, capsys, tmp_path):
         # EE(join(p - 1, 2, 1)) needs cosh above 710 from p = 168,259 on
         out = tmp_path / "grid.csv"
@@ -352,11 +358,39 @@ class TestVerify:
                                "--n-max", "4", "--threads", threads)
             assert code == 2 and "usage error" in err
 
+    def test_out_in_missing_directory_exit4(self, capsys, tmp_path):
+        # a failed write is neither malformed input (3) nor a refuted class (1)
+        out = tmp_path / "missing" / "report.json"
+        code, stdout, err = run(capsys, "verify", "--theorem", "matching",
+                                "--n-min", "2", "--n-max", "2", "--out", str(out))
+        assert code == 4 and err.startswith("write error:") and stdout == ""
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "matching",
                            "--n-min", "2", "--n-max", "4")
         assert code == 0
         assert json.loads(out)["all_verified"]
+
+
+class TestParserReuse:
+    def test_outputs_match_a_fresh_parser(self, capsys):
+        # one parser serves every call of the process; no option of one
+        # call may leak into the next
+        join = ["construct", "--family", "join", "--s", "1", "--p", "3", "--q", "2"]
+        argvs = [join + ["--format", "json"], join + ["--format", "text"], join,
+                 ["compare", "--lemma", "4.1", "--max-p", "3", "--max-q", "3",
+                  "--max-s", "2"],
+                 ["compute", "--graph6", K23]]
+        main(argvs[0])
+        parser = cli._parser
+        capsys.readouterr()
+        for argv in argvs:
+            got = run(capsys, *argv)
+            args = cli.build_parser().parse_args(argv)
+            code = args.func(args)
+            fresh = capsys.readouterr()
+            assert got == (code, fresh.out, fresh.err)
+        assert cli._parser is parser
 
 
 class TestDeterministicSerialization:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bipartite_estrada import quartic
 from bipartite_estrada.families import join_family
 from bipartite_estrada.quartic import (_slice_corners, complete_bipartite_ee,
                                        complete_split_deficit, ee_closed_form,
@@ -13,9 +14,14 @@ from bipartite_estrada.quartic import (_slice_corners, complete_bipartite_ee,
                                        side_swap_gain, sweep, transfer_gain,
                                        transfer_root_shift_sign)
 from bipartite_estrada.spectral import estrada, eigenvalues, nullity_exact
-from oracles import sweep_reference
+from oracles import ee_reference, sweep_reference
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+EXACT_GRID = {"max_p": 30, "max_q": 30, "max_s": 30, "max_n": 200}
+# applicable points of each comparison on EXACT_GRID
+EXACT_GRID_POINTS = {"side-swap": 9455, "transfer": 3654, "complete-split": 5040}
+COMPARISONS = {"side-swap": "side_swap_gain", "transfer": "transfer_gain",
+               "complete-split": "complete_split_deficit"}
 
 
 def _rel_close(a: float, b: float, tol: float) -> bool:
@@ -199,6 +205,44 @@ class TestSweeps:
                 assert all(v in verdicts for v in corners)
                 assert (max((x for v in corners for x in arguments(v)), default=None)
                         == max((x for v in verdicts for x in arguments(v)), default=None))
+
+    @pytest.mark.parametrize("comparison", sorted(COMPARISONS))
+    def test_closed_form_matches_reference_on_exact_grid(self, monkeypatch,
+                                                         comparison):
+        # every (p, q, s) the sweep evaluates, on both sides of the comparison
+        points = set()
+        original = quartic.ee_closed_form
+
+        def recording(p, q, s):
+            points.add((p, q, s))
+            return original(p, q, s)
+
+        monkeypatch.setattr(quartic, "ee_closed_form", recording)
+        sweep(comparison, **EXACT_GRID)
+        assert points
+        for p, q, s in points:
+            assert original(p, q, s).hex() == ee_reference(p, q, s).hex()
+
+    @pytest.mark.parametrize("comparison", sorted(COMPARISONS))
+    def test_verdicts_built_only_at_applicable_points(self, monkeypatch,
+                                                      comparison):
+        # the corner of each s first, then one call per applicable point
+        corners = [tuple(v.params.values())
+                   for v in _slice_corners(comparison, **EXACT_GRID)]
+        calls = []
+        name = COMPARISONS[comparison]
+        original = getattr(quartic, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(quartic, name, counting)
+        verdicts = sweep(comparison, **EXACT_GRID)
+        assert len(verdicts) == EXACT_GRID_POINTS[comparison]
+        assert all(v.applicable for v in verdicts)
+        assert len(corners) == EXACT_GRID["max_s"]
+        assert calls == corners + [tuple(v.params.values()) for v in verdicts]
 
     def test_sweep_matches_reference(self):
         rng = random.Random(41)
