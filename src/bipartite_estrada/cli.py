@@ -77,10 +77,35 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+# format spec of a column whose cells are all of one of these types
+_CSV_SPECS = {float: "%.17g", int: "%s", str: "%s"}
+_CSV_BOOL = {True: "true", False: "false"}
+
+
+def _csv_text(header: list[str], rows: list) -> str:
+    """CSV text of equal-length rows, each line from one ``%`` operation.
+
+    Each column gets one format spec from its cells' types.  A column that
+    holds only ``None`` is written as empty cells; a column of bools is
+    written as ``true``/``false``; a column of mixed or other types (numpy
+    scalars among them) goes through :func:`_csv_cell` cell by cell.
+    """
+    specs, columns = [], []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is type(None):
+            specs.append("")
+            continue
+        if kind is bool:
+            column = list(map(_CSV_BOOL.__getitem__, column))
+        elif kind not in _CSV_SPECS:
+            column = list(map(_csv_cell, column))
+        specs.append(_CSV_SPECS.get(kind, "%s"))
+        columns.append(column)
+    line = ",".join(specs)
+    cells = zip(*columns) if columns else [()] * len(rows)
+    return "\n".join([",".join(header), *[line % row for row in cells]]) + "\n"
 
 
 def _write_file(path: Path, text: str) -> None:
@@ -253,12 +278,7 @@ def _cmd_compare(args) -> int:
         raise CliUsageError(f"the grid set by {bounds} holds no applicable point")
     header = ["comparison", "n", "s", "p", "q", "lhs", "rhs", "gap", "holds",
               "sign_value"]
-    rows = []
-    for v in verdicts:
-        rows.append([v.name, v.params.get("n"), v.params.get("s"),
-                     v.params.get("p"), v.params.get("q"),
-                     v.lhs, v.rhs, v.gap, v.holds, v.sign_value])
-    _write_or_print(_csv_text(header, rows), args.out)
+    _write_or_print(_csv_text(header, [v[:10] for v in verdicts]), args.out)
     return 0 if all(v.holds for v in verdicts) else 1
 
 
@@ -306,6 +326,9 @@ def _cmd_verify(args) -> int:
         raise CliUsageError(f"--n-max must be at most {N_HARD_MAX}")
     if args.threads < 1:
         raise CliUsageError("--threads must be at least 1")
+    if args.out and not Path(args.out).parent.is_dir():
+        # found before the scan, which can run for minutes
+        raise CliWriteError(f"no directory {Path(args.out).parent} for {args.out}")
     kind = _THEOREM_KINDS[args.theorem]
     reports = []
     for n in range(args.n_min, args.n_max + 1):

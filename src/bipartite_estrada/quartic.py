@@ -11,7 +11,8 @@ Sign claims about the quartic are evaluated in exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -122,24 +123,32 @@ def transfer_root_shift_sign(p: int, q: int, s: int) -> int:
     return _sign_p_plus_q_sqrt(p_int, q_int, d)
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Result of one closed-form index comparison at a parameter point."""
+class ComparisonVerdict(NamedTuple):
+    """Result of one closed-form index comparison at a parameter point.
+
+    The first ten fields are the columns of the ``compare`` CSV, in order;
+    the parameters a comparison does not use are ``None``.
+    """
 
     name: str
-    params: dict = field(compare=False)
-    applicable: bool
-    reason: str | None = None
+    n: int | None
+    s: int
+    p: int | None
+    q: int | None
     lhs: float | None = None
     rhs: float | None = None
+    gap: float | None = None     # rhs - lhs
     holds: bool | None = None
     sign_value: int | None = None   # exact integer sign witness, when one exists
+    applicable: bool = True
+    reason: str | None = None
 
     @property
-    def gap(self) -> float | None:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.rhs - self.lhs
+    def params(self) -> dict:
+        """The arguments of the comparison function, by name, in its order."""
+        if self.n is None:
+            return {"p": self.p, "q": self.q, "s": self.s}
+        return {"n": self.n, "s": self.s}
 
 
 def _side_swap_blocker(p: int, q: int, s: int) -> str | None:
@@ -160,13 +169,14 @@ def side_swap_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     Applicable when ``p < q + s`` (and ``p >= s`` so the swapped block
     exists).  Expected: strict increase.
     """
-    params = {"p": p, "q": q, "s": s}
     reason = _side_swap_blocker(p, q, s)
     if reason is not None:
-        return ComparisonVerdict("side-swap", params, False, reason)
+        return ComparisonVerdict("side-swap", None, s, p, q, applicable=False,
+                                 reason=reason)
     lhs = ee_closed_form(p, q, s)
     rhs = ee_closed_form(q + s, p - s, s)
-    return ComparisonVerdict("side-swap", params, True, None, lhs, rhs, lhs < rhs)
+    return ComparisonVerdict("side-swap", None, s, p, q, lhs, rhs, rhs - lhs,
+                             lhs < rhs)
 
 
 def _transfer_blocker(p: int, q: int, s: int) -> str | None:
@@ -185,14 +195,15 @@ def transfer_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     Applicable when ``p > q + s + 1`` and ``q > 0``.  Expected: strict
     increase; the exact root-shift sign must be negative.
     """
-    params = {"p": p, "q": q, "s": s}
     reason = _transfer_blocker(p, q, s)
     if reason is not None:
-        return ComparisonVerdict("transfer", params, False, reason)
+        return ComparisonVerdict("transfer", None, s, p, q, applicable=False,
+                                 reason=reason)
     lhs = ee_closed_form(p, q, s)
     rhs = ee_closed_form(p - 1, q + 1, s)
     sign = transfer_root_shift_sign(p, q, s)
-    return ComparisonVerdict("transfer", params, True, None, lhs, rhs, lhs < rhs, sign)
+    return ComparisonVerdict("transfer", None, s, p, q, lhs, rhs, rhs - lhs,
+                             lhs < rhs, sign)
 
 
 def _complete_split_blocker(n: int, s: int) -> str | None:
@@ -214,17 +225,17 @@ def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
     exact integer ``-s((n-2s-3)(n-s)+2)``, which the claim needs to be
     negative.  Both the inequality and the sign fail when ``n = 2s + 2``.
     """
-    params = {"n": n, "s": s}
     reason = _complete_split_blocker(n, s)
     if reason is not None:
-        return ComparisonVerdict("complete-split", params, False, reason)
+        return ComparisonVerdict("complete-split", n, s, None, None,
+                                 applicable=False, reason=reason)
     lhs = complete_bipartite_ee(s, n - s)
     rhs = ee_closed_form(n - s - 2, 1, s)
     sign_value = -s * ((n - 2 * s - 3) * (n - s) + 2)
     if quartic_value_at_integer_square(s * (n - s), n - s - 2, 1, s) != sign_value:
         raise AssertionError("exact quartic evaluation disagrees with the factored form")
-    return ComparisonVerdict("complete-split", params, True, None, lhs, rhs,
-                             lhs < rhs, sign_value)
+    return ComparisonVerdict("complete-split", n, s, None, None, lhs, rhs,
+                             rhs - lhs, lhs < rhs, sign_value)
 
 
 # comparison identifiers accepted by the CLI

@@ -34,15 +34,37 @@ class WalkCountTable:
         return int(np.trace(self.counts[k]))
 
 
-def walk_counts(g: Graph, k_max: int) -> WalkCountTable:
-    """Exact walk-count tables for all lengths up to ``k_max``."""
+def _check_budget(k_max: int) -> None:
     if not 0 <= k_max <= WALK_BUDGET:
         raise ValueError(f"walk length cutoff must be in 0..{WALK_BUDGET}")
+
+
+def walk_counts(g: Graph, k_max: int) -> WalkCountTable:
+    """Exact walk-count tables for all lengths up to ``k_max``."""
+    _check_budget(k_max)
     adjacency = np.array(g.adjacency_int_rows(), dtype=object)
     tables = [np.eye(g.n, dtype=int).astype(object)]
     for _ in range(k_max):
         tables.append(tables[-1] @ adjacency)
     return WalkCountTable(g.n, k_max, tuple(tables))
+
+
+def _anchor_rows(g: Graph, anchors, k_max: int) -> list[list[list[int]]]:
+    """``rows[i][k][w]``, the number of walks of length ``k <= k_max`` from
+    ``anchors[i]`` to ``w``: row ``k`` of ``A^k`` for each anchor alone, by
+    ``row_{k+1}[w] = sum of row_k[x] over the neighbours x of w``."""
+    _check_budget(k_max)
+    neighbours = [tuple(bit_indices(r)) for r in g.rows]
+    out = []
+    for a in anchors:
+        row = [0] * g.n
+        row[a] = 1
+        rows = [row]
+        for _ in range(k_max):
+            row = [sum(map(row.__getitem__, nb)) for nb in neighbours]
+            rows.append(row)
+        out.append(rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,11 +91,11 @@ def twin_check(g: Graph, u: int, v: int, k_max: int = 20) -> TwinCheck:
         raise ValueError(
             f"vertices {u} and {v} are not twins: vertex {witness} is adjacent "
             f"to exactly one of them")
-    table = walk_counts(g, k_max)
+    from_u, from_v = _anchor_rows(g, (u, v), k_max)
     # length 0 is excluded: the empty walk exists only from a vertex to itself
-    pairs = ((u, u), (v, v), (u, v), (v, u))
     first = next((k for k in range(1, k_max + 1)
-                  if len({table.count(k, x, y) for x, y in pairs}) > 1), None)
+                  if len({from_u[k][u], from_v[k][v], from_u[k][v],
+                          from_v[k][u]}) > 1), None)
     return TwinCheck(first is None, k_max, first)
 
 
@@ -188,24 +210,25 @@ def dominance_check(scheme: IdentificationScheme,
                     k_max: int = 20) -> DominanceReport:
     """Check, with exact integers, the premise and conclusion inequalities.
 
-    The parts are compared by walk-count tables, which give both the moments
-    and the anchored counts; the identified graphs need only their moments,
-    from :func:`~bipartite_estrada.spectral.moment_series`.  Requires both
+    The anchored counts come from the walk rows of the anchors alone; the
+    moments of the parts and of the identified graphs come from
+    :func:`~bipartite_estrada.spectral.moment_series`.  Requires both
     schemes to use the same number of anchors.
     """
     if scheme.s != other.s:
         raise ValueError("schemes must identify the same number of anchors")
-    g1, g2 = walk_counts(scheme.g1, k_max), walk_counts(scheme.g2, k_max)
-    h1, h2 = walk_counts(other.g1, k_max), walk_counts(other.g2, k_max)
-    sides = ((g1, scheme.anchors1, h1, other.anchors1),
-             (g2, scheme.anchors2, h2, other.anchors2))
+    sides = ((scheme.g1, scheme.anchors1, other.g1, other.anchors1),
+             (scheme.g2, scheme.anchors2, other.g2, other.anchors2))
     lengths = range(1, k_max + 1)
+    anchored = [(_anchor_rows(g, a, k_max), a, _anchor_rows(h, b, k_max), b)
+                for g, a, h, b in sides]
     first_part, strict_parts = _first_violation({
-        (part,): [[(g.closed_total(k), h.closed_total(k))] for k in lengths]
+        (part,): [[pair] for pair in zip(moment_series(g, k_max).moments[1:],
+                                         moment_series(h, k_max).moments[1:])]
         for part, (g, _, h, _) in enumerate(sides, start=1)})
     first_anchored, strict_anchored = _first_violation({
-        (i, j): [[(g.count(k, a[i], a[j]), h.count(k, b[i], b[j]))
-                  for g, a, h, b in sides] for k in lengths]
+        (i, j): [[(from_g[i][k][a[j]], from_h[i][k][b[j]])
+                  for from_g, a, from_h, b in anchored] for k in lengths]
         for i in range(scheme.s) for j in range(scheme.s)})
 
     merged, merged_other = identify_union(scheme), identify_union(other)

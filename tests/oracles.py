@@ -14,7 +14,10 @@ comparison lemmas rather than taken from ``search.predicted_maximizer``.
 The moment-dominance report and the comparison sweeps are rebuilt by
 explicit loops with flags (production searches each for its first
 violation, and builds verdicts only at applicable points); the closed-form
-index is rebuilt from the ``QuarticForm`` of ``quartic_roots``.
+index is rebuilt from the ``QuarticForm`` of ``quartic_roots``.  Anchored
+walk counts come from full walk-count tables (production follows the rows
+of the anchors alone), and CSV text from one formatted cell at a time
+(production formats a line at once from per-column specs).
 Spectra come from numpy's LAPACK ``eigvalsh``, the production eigensolver
 too; the check independent of it is the exact ``moment-series`` route, and
 the tests hold the float spectrum to closed forms and exact power sums.
@@ -282,6 +285,36 @@ def dominance_reference(scheme, other, k_max: int) -> dict:
             "conclusion_ok": conclusion_ok,
             "first_conclusion_violation": first_conclusion,
             "merged": merged, "merged_other": merged_other}
+
+
+def twin_reference(g: Graph, u: int, v: int, k_max: int) -> tuple:
+    """``(ok, checked_up_to, first_violation)`` of ``walks.twin_check`` for a
+    twin pair, from the walk-count tables of the whole graph."""
+    table = walk_counts(g, k_max)
+    first = None
+    for k in range(1, k_max + 1):
+        counts = {table.count(k, x, y) for x, y in ((u, u), (v, v), (u, v), (v, u))}
+        if len(counts) > 1:
+            first = k
+            break
+    return first is None, k_max, first
+
+
+def csv_reference(header: list[str], rows: list) -> str:
+    """CSV text joined cell by cell: ``None`` empty, bools ``true``/``false``,
+    floats (numpy's included) with 17 significant digits, the rest by
+    ``str``."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return str(value)
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def ee_reference(p: int, q: int, s: int) -> float:

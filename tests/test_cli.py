@@ -1,9 +1,12 @@
 """End-to-end command-line behaviour, exit codes, and report determinism."""
 
+import hashlib
 import json
 import math
+import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from bipartite_estrada import cli, quartic, spectral
@@ -11,6 +14,7 @@ from bipartite_estrada.cli import main
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, emit_graph6, parse_graph6
 from bipartite_estrada.search import is_isomorphic
+from oracles import csv_reference
 
 K23 = "D]o"       # complete split with sides 2 and 3
 TRIANGLE = "Bw"
@@ -365,6 +369,17 @@ class TestVerify:
                                 "--n-min", "2", "--n-max", "2", "--out", str(out))
         assert code == 4 and err.startswith("write error:") and stdout == ""
 
+    def test_out_in_missing_directory_exit4_before_scanning(self, capsys,
+                                                             monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "find_maximizers", _no_scan)
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "missing" / "report.json",
+                    tmp_path / "file" / "report.json"):
+            code, stdout, err = run(capsys, "verify", "--theorem", "connectivity",
+                                    "--n-max", "10", "--out", str(out))
+            assert code == 4 and err.startswith("write error:") and stdout == ""
+            assert str(out) in err
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "matching",
                            "--n-min", "2", "--n-max", "4")
@@ -423,3 +438,60 @@ class TestDeterministicSerialization:
             blobs.add((out_path.read_bytes(),
                        out_path.with_suffix(".csv").read_bytes()))
         assert len(blobs) == 1
+
+
+# the benchmark's compare grid and the sha256 of each compare CSV on it
+EXACT_GRID = {"max_p": 30, "max_q": 30, "max_s": 30, "max_n": 200}
+EXACT_GRID_SHA256 = {
+    "4.1": "4c1f785d8226308ccb360d627921a27650f07b545164656623bb6ec19ea844d2",
+    "4.2": "58eebbaab5c55854fc1143a20b4209644ab4fbab8c5e67858311f936fec127d5",
+    "4.3": "b95db783ace201de92e81dd3cb56a522035fb21a534371654c88a2e41c78810e",
+}
+COMPARE_HEADER = ["comparison", "n", "s", "p", "q", "lhs", "rhs", "gap", "holds",
+                  "sign_value"]
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("rows", [
+        [[None, None, 1], [None, 2, None], [None, None, 3]],
+        [[True, False, 1], [False, False, 0]],
+        [[True, 1, 1.0], [0, False, None]],
+        [[-0.0, math.inf, -math.inf], [math.nan, 5e-324, 1e308],
+         [0.1, 1 / 3, 1.7976931348623157e308]],
+        [[np.int64(7), np.float64(0.1), np.bool_(True)],
+         [np.int64(-2), np.float64(-0.0), np.bool_(False)]],
+        [[np.int64(7), 7, 0.5], [3, np.float64(0.1), np.float32(0.1)]],
+        [["a", 10 ** 40, "%s"], ["b,c", -1, "%.3f"]],
+        [[], []],
+        [[None, None], [None, None]],
+        [],
+    ])
+    def test_matches_cell_by_cell_reference(self, rows):
+        header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
+        assert cli._csv_text(header, rows) == csv_reference(header, rows)
+
+    def test_random_columns_match_reference(self):
+        rng = random.Random(17)
+        cells = [None, True, False, 0, -3, 2 ** 70, 0.5, -0.0, math.inf, math.nan,
+                 1e-310, "x", np.int64(4), np.float64(2.5), np.bool_(False)]
+        for _ in range(300):
+            width, height = rng.randint(0, 6), rng.randint(0, 5)
+            kinds = [rng.sample(cells, rng.randint(1, 3)) for _ in range(width)]
+            rows = [[rng.choice(kind) for kind in kinds] for _ in range(height)]
+            header = [f"c{i}" for i in range(width)]
+            assert cli._csv_text(header, rows) == csv_reference(header, rows)
+
+    @pytest.mark.parametrize("lemma", sorted(EXACT_GRID_SHA256))
+    def test_compare_rows_on_exact_grid(self, capsys, lemma):
+        # the verdict record is the row; the columns come from its fields
+        verdicts = quartic.sweep(quartic.CLI_LEMMAS[lemma], **EXACT_GRID)
+        rows = [[v.name, v.params.get("n"), v.params.get("s"), v.params.get("p"),
+                 v.params.get("q"), v.lhs, v.rhs, v.rhs - v.lhs, v.holds,
+                 v.sign_value] for v in verdicts]
+        want = csv_reference(COMPARE_HEADER, rows)
+        assert cli._csv_text(COMPARE_HEADER, [v[:10] for v in verdicts]) == want
+        flags = [arg for key, value in EXACT_GRID.items()
+                 for arg in ("--" + key.replace("_", "-"), str(value))]
+        _, out, _ = run(capsys, "compare", "--lemma", lemma, *flags)
+        assert out == want
+        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_GRID_SHA256[lemma]

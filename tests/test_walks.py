@@ -5,13 +5,16 @@ import random
 
 import pytest
 
+from bipartite_estrada import walks
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, from_biadjacency
 from bipartite_estrada.spectral import moment_series
-from bipartite_estrada.walks import (IdentificationScheme, dominance_check,
-                                     identify_union, twin_check, walk_counts)
+from bipartite_estrada.walks import (IdentificationScheme, _anchor_rows,
+                                     dominance_check, identify_union, twin_check,
+                                     walk_counts)
 from bipartite_estrada.search import is_isomorphic
-from oracles import bf_walk_count, dominance_reference, random_bipartite
+from oracles import (bf_walk_count, dominance_reference, random_bipartite,
+                     twin_reference)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -74,6 +77,64 @@ class TestWalkCounts:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             walk_counts(PATH4, 65)
+
+
+class TestAnchorRows:
+    def test_rows_match_walk_count_tables(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            g = random_bipartite(rng, 14)
+            k_max = rng.randint(0, 24)
+            anchors = rng.sample(range(g.n), rng.randint(1, min(3, g.n)))
+            table = walk_counts(g, k_max)
+            rows = _anchor_rows(g, anchors, k_max)
+            assert len(rows) == len(anchors)
+            for a, anchor_rows in zip(anchors, rows):
+                assert anchor_rows == [[table.count(k, a, w) for w in range(g.n)]
+                                       for k in range(k_max + 1)]
+
+    def test_budget_guard(self):
+        with pytest.raises(ValueError):
+            _anchor_rows(PATH4, (0,), 65)
+        with pytest.raises(ValueError):
+            twin_check(complete_bipartite(2, 3), 0, 1, k_max=65)
+
+    def test_checks_match_references_without_tables(self, monkeypatch):
+        # neither check builds a walk-count table; the references do
+        rng = random.Random(37)
+        twins, schemes = [], []
+        while len(twins) < 60:
+            g = random_bipartite(rng, 13)
+            v = rng.randrange(g.n)
+            rows = [r | (((r >> v) & 1) << g.n) for r in g.rows]
+            twinned = Graph(g.n + 1, rows + [g.rows[v]])
+            k_max = rng.randint(0, 24)
+            twins.append(((twinned, v, g.n, k_max),
+                          twin_reference(twinned, v, g.n, k_max)))
+        while len(schemes) < 60:
+            parts = [random_bipartite(rng, 7) for _ in range(4)]
+            anchors = [_independent_set(part, rng) for part in parts]
+            s = min(3, *map(len, anchors))
+            scheme = IdentificationScheme(parts[0], anchors[0][:s], parts[1],
+                                          anchors[1][:s])
+            other = IdentificationScheme(parts[2], anchors[2][:s], parts[3],
+                                         anchors[3][:s])
+            k_max = rng.randint(0, 24)
+            schemes.append(((scheme, other, k_max),
+                            dominance_reference(scheme, other, k_max)))
+
+        def no_tables(*args):
+            raise AssertionError("walk_counts called")
+
+        monkeypatch.setattr(walks, "walk_counts", no_tables)
+        for args, want in twins:
+            result = twin_check(*args[:3], k_max=args[3])
+            assert (result.ok, result.checked_up_to, result.first_violation) == want
+        for args, want in schemes:
+            report = dominance_check(*args[:2], k_max=args[2])
+            assert {key: getattr(report, key) for key in want} == want, args
+        for key in ("part_moments_ok", "anchored_ok", "conclusion_ok"):
+            assert 5 <= sum(want[key] for _, want in schemes) <= 55, key
 
 
 class TestTwins:
