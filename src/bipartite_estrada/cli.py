@@ -329,6 +329,10 @@ def _cmd_verify(args) -> int:
     if args.out and not Path(args.out).parent.is_dir():
         # found before the scan, which can run for minutes
         raise CliWriteError(f"no directory {Path(args.out).parent} for {args.out}")
+    if args.out and Path(args.out).suffix == ".csv":
+        # the report's CSV sidecar would be --out itself (its timing sidecar
+        # never is), and would overwrite the JSON
+        raise CliUsageError(f"--out {args.out} is also its CSV sidecar path")
     kind = _THEOREM_KINDS[args.theorem]
     reports = []
     for n in range(args.n_min, args.n_max + 1):

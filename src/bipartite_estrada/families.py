@@ -8,7 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, from_biadjacency
+from .graph import MAX_VERTICES, Graph, from_biadjacency
+
+
+def _order(n: int) -> int:
+    """``n``, checked against ``MAX_VERTICES`` from the sizes alone, before
+    an edge list of up to ``n**2 / 4`` entries is built."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"order {n} exceeds the supported maximum {MAX_VERTICES}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,7 @@ def complete_bipartite(p: int, q: int) -> Graph:
     """``K_{p,q}`` with left vertices ``0..p-1``; ``p*q`` edges."""
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need nonnegative sides and at least one vertex")
+    _order(p + q)
     ones = [[1] * q for _ in range(p)]
     return from_biadjacency(p, q, ones)
 
@@ -95,8 +104,7 @@ def join_family(s: int, p: int, q: int) -> Graph:
     Canonical order: apex, core, p-side, q-side.  Edge count is
     ``s + s*p + p*q``; the sides are {apex} + p-side versus core + q-side.
     """
-    params = JoinFamilyParams(s, p, q)
-    n = params.n
+    n = _order(JoinFamilyParams(s, p, q).n)
     apex = 0
     core = range(1, 1 + s)
     p_side = range(1 + s, 1 + s + p)
@@ -119,7 +127,7 @@ def join_family_double(s: int, n1: int, n2: int, m1: int, m2: int) -> Graph:
         raise ValueError("core size s must be >= 1")
     if min(n1, n2, m1, m2) < 0:
         raise ValueError("side sizes must be nonnegative")
-    n = s + n1 + n2 + m1 + m2
+    n = _order(s + n1 + n2 + m1 + m2)
     side_n1 = range(0, n1)
     side_n2 = range(n1, n1 + n2)
     core = range(n1 + n2, n1 + n2 + s)
@@ -136,6 +144,7 @@ def saturated_cover_graph(partition: CoverPartition) -> Graph:
     """Largest bipartite graph covered by X1 + Y1: X1 joined to all of Y,
     X2 joined to Y1, and no X2-Y2 edges."""
     p = partition
+    _order(p.n)
     edges = [(x, y) for x in p.x1_vertices
              for y in list(p.y1_vertices) + list(p.y2_vertices)]
     edges += [(x, y) for x in p.x2_vertices for y in p.y1_vertices]
@@ -146,6 +155,7 @@ def collapsed_cover_graph(partition: CoverPartition) -> Graph:
     """Rewire the saturated cover graph: drop the X2-Y1 edges and join X2 to
     X1 instead.  The result is complete bipartite between X1 and the rest."""
     p = partition
+    _order(p.n)
     others = list(p.x2_vertices) + list(p.y1_vertices) + list(p.y2_vertices)
     edges = [(x, v) for x in p.x1_vertices for v in others]
     return Graph.from_edges(p.n, edges)

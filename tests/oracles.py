@@ -8,7 +8,9 @@ polynomials by big-integer power traces (production works modulo primes), and
 class
 maximizer scans over every labelled biadjacency mask or over one mask per
 multiset of left rows (production scans one representative per
-``S_a x S_b`` orbit, from an orderly generator).  The
+``S_a x S_b`` orbit, from an orderly generator), with the scan index from
+the ``n x n`` adjacency matrices (production uses the ``a x a`` Gram
+matrices ``B B^T``).  The
 corrected connectivity-class maximizer is derived from the paper's own
 comparison lemmas rather than taken from ``search.predicted_maximizer``.
 The moment-dominance report and the comparison sweeps are rebuilt by
@@ -382,16 +384,36 @@ def char_poly_big_integer(g: Graph) -> list[int]:
     return e
 
 
+def adjacency_scan_index(n: int, a: int, biadj: np.ndarray) -> np.ndarray:
+    """Index of each graph of a ``(count, a, n - a)`` stack of biadjacency
+    matrices, from one batched ``eigvalsh`` of the ``n x n`` adjacency
+    matrices (production takes it from the ``a x a`` Gram matrices)."""
+    mats = np.zeros((len(biadj), n, n))
+    mats[:, :a, a:] = biadj
+    mats[:, a:, :a] = biadj.transpose(0, 2, 1)
+    return np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
+
+
+def adjacency_scan_graphs(kind: str, n: int, a: int, columns: np.ndarray,
+                          weights: np.ndarray, values) -> dict:
+    """``search._scan_graphs`` with the index from ``adjacency_scan_index``:
+    class partials of the split-``(a, n - a)`` graphs given as columns (bit
+    ``i`` for left vertex ``i``)."""
+    b = n - a
+    row = np.arange(a, dtype=np.int64)[:, None]
+    biadj = (columns[:, None, :] >> row) & 1
+    left = (biadj << np.arange(b, dtype=np.int64)).sum(axis=2)
+    masks = (biadj << (b * row + np.arange(b, dtype=np.int64))).sum(axis=(1, 2))
+    return _scan_rows(kind, n, a, left, masks, weights, values)
+
+
 def _scan_rows(kind: str, n: int, a: int, left: np.ndarray, masks: np.ndarray,
                weights: np.ndarray, values) -> dict:
     """Class partials of split-``(a, n - a)`` graphs given by their left rows
     (bit ``j`` for right vertex ``j``), biadjacency masks and weights."""
     b = n - a
     biadj = (left[:, :, None] >> np.arange(b, dtype=np.int64)) & 1
-    mats = np.zeros((len(left), n, n))
-    mats[:, :a, a:] = biadj
-    mats[:, a:, :a] = biadj.transpose(0, 2, 1)
-    ee = np.exp(np.linalg.eigvalsh(mats)).sum(axis=1)
+    ee = adjacency_scan_index(n, a, biadj)
 
     right = (biadj << np.arange(a, dtype=np.int64)[:, None]).sum(axis=1)
     all_rows = np.concatenate([left << a, right], axis=1).tolist()

@@ -9,7 +9,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from bipartite_estrada import cli, quartic, spectral
+from bipartite_estrada import cli, families, quartic, spectral
 from bipartite_estrada.cli import main
 from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import Graph, emit_graph6, parse_graph6
@@ -206,6 +206,23 @@ class TestConstruct:
                          "--s", "0", "--p", "1", "--q", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", [
+        "--family complete-bipartite --p 150 --q 150",
+        "--family join --s 1 --p 150 --q 150",
+        "--family join-double --s 1 --n1 100 --n2 100 --m1 50 --m2 50",
+        "--family g-star --x1 100 --x2 100 --y1 1 --y2 100",
+        "--family g-double-star --x1 100 --x2 100 --y1 1 --y2 100",
+    ])
+    def test_order_above_62_exit2_before_any_edge_list(self, capsys,
+                                                         monkeypatch, sizes):
+        def build(*args):
+            raise AssertionError("an edge list was handed to a graph constructor")
+        monkeypatch.setattr(families.Graph, "from_edges", build)
+        monkeypatch.setattr(families, "from_biadjacency", build)
+        code, out, err = run(capsys, "construct", *sizes.split())
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "maximum 62" in err
+
 
 class TestMoments:
     def test_values(self, capsys):
@@ -379,6 +396,18 @@ class TestVerify:
                                     "--n-max", "10", "--out", str(out))
             assert code == 4 and err.startswith("write error:") and stdout == ""
             assert str(out) in err
+
+    def test_out_equal_to_its_csv_sidecar_exit2_before_scanning(self, capsys,
+                                                                monkeypatch,
+                                                                tmp_path):
+        # the CSV sidecar of report.csv is report.csv itself, and would
+        # overwrite the JSON report
+        monkeypatch.setattr(cli, "find_maximizers", _no_scan)
+        code, stdout, err = run(capsys, "verify", "--theorem", "matching",
+                                "--n-max", "10", "--out",
+                                str(tmp_path / "report.csv"))
+        assert code == 2 and err.startswith("usage error:") and stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "matching",

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bipartite_estrada import families
 from bipartite_estrada.families import (CoverPartition, JoinFamilyParams,
                                         build_cli_family, collapsed_cover_graph,
                                         complete_bipartite, join_family,
@@ -15,6 +16,15 @@ from bipartite_estrada.search import is_isomorphic
 from bipartite_estrada.spectral import eigenvalues, estrada
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+# one instance of each CLI family at an order of a few hundred
+OVERSIZED = [
+    ("complete-bipartite", dict(p=150, q=150)),
+    ("join", dict(s=1, p=150, q=150)),
+    ("join-double", dict(s=1, n1=100, n2=100, m1=50, m2=50)),
+    ("g-star", dict(x1=100, x2=100, y1=1, y2=100)),
+    ("g-double-star", dict(x1=100, x2=100, y1=1, y2=100)),
+]
 
 
 class TestCompleteBipartite:
@@ -147,3 +157,19 @@ class TestCliFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             build_cli_family("hypercube", p=1, q=1)
+
+    @pytest.mark.parametrize("name, sizes", OVERSIZED)
+    def test_order_above_62_rejected_before_any_graph(self, name, sizes,
+                                                       monkeypatch):
+        def build(*args):
+            raise AssertionError("an edge list was handed to a graph constructor")
+        monkeypatch.setattr(families.Graph, "from_edges", build)
+        monkeypatch.setattr(families, "from_biadjacency", build)
+        with pytest.raises(ValueError, match="maximum 62"):
+            build_cli_family(name, **sizes)
+
+    def test_order_62_still_built(self):
+        assert build_cli_family("join", s=1, p=30, q=30).n == 62
+        assert build_cli_family("complete-bipartite", p=31, q=31).n == 62
+        with pytest.raises(ValueError, match="order 63"):
+            build_cli_family("complete-bipartite", p=31, q=32)

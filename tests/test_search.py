@@ -16,7 +16,8 @@ from bipartite_estrada.graph import (Graph, emit_graph6, find_bipartition,
 from bipartite_estrada.invariants import ClassDescriptor, class_member
 from bipartite_estrada.search import (find_maximizers, is_isomorphic,
                                       predicted_maximizer)
-from oracles import (bipartite_graphs, connected_after_removal,
+from oracles import (adjacency_scan_graphs, adjacency_scan_index,
+                     bipartite_graphs, connected_after_removal,
                      corrected_connectivity_prediction, ee_lapack,
                      labelled_maximizers, random_bipartite,
                      row_multiset_maximizers, row_multisets)
@@ -191,6 +192,38 @@ def assert_same_reports(got_reports, want_reports):
             assert got.maximizer is None
         else:
             assert emit_graph6(got.maximizer) == emit_graph6(want.maximizer)
+
+
+class TestGramIndex:
+    """The scan's index comes from the ``a x a`` Gram matrices ``B B^T``; the
+    ``n x n`` adjacency route of the oracles is its reference."""
+
+    def test_matches_adjacency_route_on_every_representative(self, monkeypatch):
+        # each graph is its own matching class, so each class maximum is the
+        # scan's index of one graph, all taken in one batch per split
+        total = 0
+        for n in range(2, 11):
+            for a in range(1, n // 2 + 1):
+                columns, weights = TestOrbitGenerator.orbits(a, n - a)
+                values = range(len(columns))
+                monkeypatch.setattr(search, "_kuhn_matching",
+                                    lambda rows, left, ids=iter(values): next(ids))
+                partials = search._scan_graphs("matching", n, a, columns,
+                                               weights, values)
+                got = np.array([partials[v].best for v in values])
+                biadj = (columns[:, None, :] >> np.arange(a)[:, None]) & 1
+                want = adjacency_scan_index(n, a, biadj)
+                assert (np.abs(got - want) <= 1e-13 * want).all(), (n, a)
+                total += len(columns)
+        assert total == sum(TestOrbitGenerator.ORBITS.values())
+
+    @pytest.mark.parametrize("kind", ["matching", "vertex-connectivity",
+                                      "edge-connectivity"])
+    def test_reports_equal_adjacency_route(self, kind, monkeypatch):
+        gram = [find_maximizers(kind, n) for n in range(2, 10)]
+        monkeypatch.setattr(search, "_scan_graphs", adjacency_scan_graphs)
+        for n, got in zip(range(2, 10), gram):
+            assert_same_reports(got, find_maximizers(kind, n))
 
 
 class TestHaloRule:
