@@ -19,9 +19,9 @@ from .walks import (DominanceReport, IdentificationScheme, TwinCheck,
 from .families import (CoverPartition, JoinFamilyParams, collapsed_cover_graph,
                        complete_bipartite, join_family, join_family_double,
                        saturated_cover_graph)
-from .quartic import (ComparisonVerdict, QuarticForm, complete_bipartite_ee,
-                      complete_split_deficit, ee_closed_form, quartic_roots,
-                      side_swap_gain, transfer_gain)
+from .quartic import (ComparisonVerdict, complete_bipartite_ee,
+                      complete_split_deficit, ee_closed_form, side_swap_gain,
+                      transfer_gain)
 from .search import (ExtremalReport, find_maximizers, is_isomorphic,
                      predicted_maximizer)
 
@@ -39,9 +39,8 @@ __all__ = [
     "CoverPartition", "JoinFamilyParams", "collapsed_cover_graph",
     "complete_bipartite", "join_family", "join_family_double",
     "saturated_cover_graph",
-    "ComparisonVerdict", "QuarticForm", "complete_bipartite_ee",
-    "complete_split_deficit", "ee_closed_form", "quartic_roots",
-    "side_swap_gain", "transfer_gain",
+    "ComparisonVerdict", "complete_bipartite_ee", "complete_split_deficit",
+    "ee_closed_form", "side_swap_gain", "transfer_gain",
     "ExtremalReport", "find_maximizers", "is_isomorphic",
     "predicted_maximizer",
 ]

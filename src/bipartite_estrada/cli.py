@@ -326,13 +326,17 @@ def _cmd_verify(args) -> int:
         raise CliUsageError(f"--n-max must be at most {N_HARD_MAX}")
     if args.threads < 1:
         raise CliUsageError("--threads must be at least 1")
-    if args.out and not Path(args.out).parent.is_dir():
+    out = Path(args.out) if args.out else None
+    if out and not out.parent.is_dir():
         # found before the scan, which can run for minutes
-        raise CliWriteError(f"no directory {Path(args.out).parent} for {args.out}")
-    if args.out and Path(args.out).suffix == ".csv":
+        raise CliWriteError(f"no directory {out.parent} for {args.out}")
+    if out and out.suffix == ".csv":
         # the report's CSV sidecar would be --out itself (its timing sidecar
         # never is), and would overwrite the JSON
         raise CliUsageError(f"--out {args.out} is also its CSV sidecar path")
+    if out and (out.is_dir() or out.with_suffix(".csv").is_dir()
+                or out.with_suffix(".timing.json").is_dir()):
+        raise CliWriteError(f"--out {out} or a sidecar of it is a directory")
     kind = _THEOREM_KINDS[args.theorem]
     reports = []
     for n in range(args.n_min, args.n_max + 1):
@@ -350,8 +354,7 @@ def _cmd_verify(args) -> int:
     }
     json_text = stable_json(payload) + "\n"
     csv_text = _csv_text(list(records[0]), [list(r.values()) for r in records])
-    if args.out:
-        out = Path(args.out)
+    if out:
         _write_file(out, json_text)
         _write_file(out.with_suffix(".csv"), csv_text)
         timing = {

@@ -5,27 +5,48 @@ nonzero eigenvalues are the roots of a biquadratic: ``x**4 - c2*x**2 + c0``
 with ``c2 = s + p*q + p*s`` and ``c0 = p*q*s``.  This module extracts the
 positive roots stably, evaluates the closed-form index, and implements the
 three pairwise index comparisons used by the extremal characterisation.
-Sign claims about the quartic are evaluated in exact integer arithmetic.
+Each verdict is decided by one exact integer witness; the float indices
+``lhs`` and ``rhs`` are only displayed.
+
+One lemma proves all three comparisons.  With ``t = x**2``, the squared
+roots ``t1 >= t2 >= 0`` are the roots of ``g(t) = t**2 - c2*t + c0``, and an
+apex join on ``n`` vertices has index ``n - 4 + 2f(t1) + 2f(t2)``, where
+``f(t) = cosh(sqrt(t)) = sum t**k / (2k)!`` is increasing and strictly
+convex on ``t >= 0``.  ``K_{s,n-s}`` is the case ``t1 = s(n-s)``, ``t2 = 0``.
+
+Lemma.  Take two such graphs of one order; a prime marks the second one's
+quantities, except on ``f``, whose ``f'`` is its derivative.  If
+``t1' > t1`` and ``c2' >= c2``, the second index is strictly larger.
+(``g'(t1) < 0`` gives ``t1' > t1``: ``t1`` then lies strictly between the
+roots of ``g'``.)  Write ``d1 = t1' - t1 > 0`` and ``d2 = t2' - t2``, so
+``d1 + d2 = c2' - c2 >= 0``.  By the tangent bound of a convex function and
+``f'(t1) >= f'(t2) > 0``, half the index difference is at least
+``f'(t1) d1 + f'(t2) d2 >= f'(t2) (d1 + d2) >= 0``, and the first step is
+strict because ``f`` is strictly convex and ``d1 != 0``.
+
+* Lemma 4.1, side swap ``(p, q, s) -> (q + s, p - s, s)`` at
+  ``s <= p < q + s``: ``c2' = c2`` and ``c0 - c0' = s**2 (q + s - p) > 0``,
+  so ``t1`` rises.  The witness ``s**2 (q + s - p)`` is positive at every
+  applicable point.
+* Lemma 4.2, transfer ``(p, q, s) -> (p - 1, q + 1, s)`` at
+  ``p > q + s + 1``, ``q > 0``: with ``r = p - q - 1 - s >= 1``,
+  ``c2' = c2 + r`` and ``g'(t1) = (r + s) s - r t1``.  At
+  ``u = s (r + s) / r``, ``r**2 g(u) = s**2 [s (r + s) - p r (p - 1)]``,
+  which is negative because ``p - 1 >= r + s`` and ``p > s``.  So
+  ``t1 > u`` and ``g'(t1) < 0``: :func:`transfer_root_shift_sign` is ``-1``
+  at every applicable point.
+* Lemma 4.3, ``K_{s,n-s}`` against the join on ``(n - s - 2, 1, s)``:
+  ``c2' = c2 + n - 2s - 2`` and ``g'(s(n - s)) = -s((n - 2s - 3)(n - s) + 2)``,
+  negative at the applicable points with ``n >= 2s + 3``, where the join
+  wins.  At ``n = 2s + 2`` the witness is ``+s**2`` and ``c2' = c2``, so
+  the lemma with the two graphs exchanged makes the complete split win:
+  the stated strict inequality is false there, and provably so.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
-
-
-@dataclass(frozen=True)
-class QuarticForm:
-    """Coefficients and positive roots of the family's biquadratic."""
-
-    p: int
-    q: int
-    s: int
-    c2: int           # coefficient of -x**2
-    c0: int           # constant term
-    x1: float         # larger positive root
-    x2: float         # smaller positive root (0 when q == 0)
 
 
 def _coefficients(p: int, q: int, s: int) -> tuple[int, int]:
@@ -49,12 +70,6 @@ def _roots(p: int, q: int, s: int) -> tuple[float, float]:
     t1 = (c2 + math.sqrt(disc)) / 2.0
     t2 = c0 / t1 if t1 > 0 else 0.0
     return math.sqrt(t1), math.sqrt(t2)
-
-
-def quartic_roots(p: int, q: int, s: int) -> QuarticForm:
-    """Coefficients and positive roots of the biquadratic at ``(p, q, s)``."""
-    x1, x2 = _roots(p, q, s)
-    return QuarticForm(p, q, s, *_coefficients(p, q, s), x1, x2)
 
 
 def complete_bipartite_ee(n1: int, n2: int) -> float:
@@ -111,16 +126,14 @@ def transfer_root_shift_sign(p: int, q: int, s: int) -> int:
     """Exact sign of ``g(x1; p-1, q+1, s)`` where x1 is the larger root for
     ``(p, q, s)``.
 
-    With ``t1 = (c2 + sqrt(D))/2`` the value is ``(P + Q sqrt(D)) / 4`` for
-    integers ``P = c2^2 + D - 2 c2 c2' + 4 c0'`` and ``Q = 2 (c2 - c2')``,
-    so the sign is decided without floating point.
+    With ``r = p - q - 1 - s`` the shift raises ``c2`` by ``r`` and ``c0`` by
+    ``s (r + s)``, so at ``t1 = x1**2 = (c2 + sqrt(disc)) / 2`` the value is
+    ``(r + s) s - r t1``: half of ``2 (r + s) s - r c2 - r sqrt(disc)``,
+    whose sign is decided without floating point.
     """
     c2, c0 = _coefficients(p, q, s)
-    d = c2 * c2 - 4 * c0
-    c2_shift, c0_shift = _coefficients(p - 1, q + 1, s)
-    p_int = c2 * c2 + d - 2 * c2 * c2_shift + 4 * c0_shift
-    q_int = 2 * (c2 - c2_shift)
-    return _sign_p_plus_q_sqrt(p_int, q_int, d)
+    r = p - q - 1 - s
+    return _sign_p_plus_q_sqrt(2 * (r + s) * s - r * c2, -r, c2 * c2 - 4 * c0)
 
 
 class ComparisonVerdict(NamedTuple):
@@ -138,7 +151,7 @@ class ComparisonVerdict(NamedTuple):
     lhs: float | None = None
     rhs: float | None = None
     gap: float | None = None     # rhs - lhs
-    holds: bool | None = None
+    holds: bool | None = None    # decided by an exact integer witness
     sign_value: int | None = None   # exact integer sign witness, when one exists
     applicable: bool = True
     reason: str | None = None
@@ -167,7 +180,8 @@ def side_swap_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     """Strict index gain of swapping the block ``K_{p,q}`` to ``K_{q+s,p-s}``.
 
     Applicable when ``p < q + s`` (and ``p >= s`` so the swapped block
-    exists).  Expected: strict increase.
+    exists).  ``holds`` is the exact witness ``s**2 (q + s - p)``, the fall
+    of ``c0``, being positive.
     """
     reason = _side_swap_blocker(p, q, s)
     if reason is not None:
@@ -176,7 +190,7 @@ def side_swap_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     lhs = ee_closed_form(p, q, s)
     rhs = ee_closed_form(q + s, p - s, s)
     return ComparisonVerdict("side-swap", None, s, p, q, lhs, rhs, rhs - lhs,
-                             lhs < rhs)
+                             s * s * (q + s - p) > 0)
 
 
 def _transfer_blocker(p: int, q: int, s: int) -> str | None:
@@ -192,8 +206,8 @@ def _transfer_blocker(p: int, q: int, s: int) -> str | None:
 def transfer_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     """Strict index gain of moving one vertex: ``K_{p,q}`` to ``K_{p-1,q+1}``.
 
-    Applicable when ``p > q + s + 1`` and ``q > 0``.  Expected: strict
-    increase; the exact root-shift sign must be negative.
+    Applicable when ``p > q + s + 1`` and ``q > 0``.  ``holds`` is the
+    exact root-shift sign ``sign_value`` being negative.
     """
     reason = _transfer_blocker(p, q, s)
     if reason is not None:
@@ -203,7 +217,7 @@ def transfer_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     rhs = ee_closed_form(p - 1, q + 1, s)
     sign = transfer_root_shift_sign(p, q, s)
     return ComparisonVerdict("transfer", None, s, p, q, lhs, rhs, rhs - lhs,
-                             lhs < rhs, sign)
+                             sign < 0, sign)
 
 
 def _complete_split_blocker(n: int, s: int) -> str | None:
@@ -221,9 +235,9 @@ def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
     """Compare ``K_{s,n-s}`` with the apex join on ``K_{n-s-2,1}``.
 
     Applicable for ``1 <= s <= ceil((n-1)/2) - 1``.  The claimed strict
-    inequality says the complete split loses; ``sign_value`` carries the
-    exact integer ``-s((n-2s-3)(n-s)+2)``, which the claim needs to be
-    negative.  Both the inequality and the sign fail when ``n = 2s + 2``.
+    inequality says the complete split loses; ``holds`` is the exact
+    integer ``sign_value = -s((n-2s-3)(n-s)+2)`` being negative.  At
+    ``n = 2s + 2`` it is ``+s**2`` and the complete split wins.
     """
     reason = _complete_split_blocker(n, s)
     if reason is not None:
@@ -235,7 +249,7 @@ def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
     if quartic_value_at_integer_square(s * (n - s), n - s - 2, 1, s) != sign_value:
         raise AssertionError("exact quartic evaluation disagrees with the factored form")
     return ComparisonVerdict("complete-split", n, s, None, None, lhs, rhs,
-                             rhs - lhs, lhs < rhs, sign_value)
+                             rhs - lhs, sign_value < 0, sign_value)
 
 
 # comparison identifiers accepted by the CLI

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -271,12 +270,10 @@ def estrada(g: Graph, method: str = "eigen") -> EstradaValue:
         return EstradaValue(index_from_spectrum(eigenvalues(g), "cosh"), "cosh")
     if method == "moment-series":
         cutoff, bound = _series_cutoff(g.n, float(g.max_degree()))
+        # sum M_k / k! as one integer sum M_k K!/k!, by Horner, over K!
         moments = _moment_run(g, cutoff)
-        acc = Fraction(0)
-        factorial = 1
-        for k, m_k in enumerate(moments):
-            if k > 0:
-                factorial *= k
-            acc += Fraction(m_k, factorial)
-        return EstradaValue(float(acc), "moment-series", bound)
+        total = moments[0]
+        for k in range(1, cutoff + 1):
+            total = total * k + moments[k]
+        return EstradaValue(total / math.factorial(cutoff), "moment-series", bound)
     raise ValueError(f"unknown method {method!r}")

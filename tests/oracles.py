@@ -16,7 +16,7 @@ comparison lemmas rather than taken from ``search.predicted_maximizer``.
 The moment-dominance report and the comparison sweeps are rebuilt by
 explicit loops with flags (production searches each for its first
 violation, and builds verdicts only at applicable points); the closed-form
-index is rebuilt from the ``QuarticForm`` of ``quartic_roots``.  Anchored
+index is rebuilt from the roots of ``quartic._roots``.  Anchored
 walk counts come from full walk-count tables (production follows the rows
 of the anchors alone), and CSV text from one formatted cell at a time
 (production formats a line at once from per-column specs).
@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
-from bipartite_estrada import search
+from bipartite_estrada import search, spectral
 from bipartite_estrada.families import join_family
-from bipartite_estrada.quartic import (complete_split_deficit, quartic_roots,
+from bipartite_estrada.quartic import (_roots, complete_split_deficit,
                                        side_swap_gain, transfer_gain)
 from bipartite_estrada.walks import identify_union, walk_counts
 from bipartite_estrada.graph import (Graph, bit_indices, find_bipartition,
@@ -320,14 +322,74 @@ def csv_reference(header: list[str], rows: list) -> str:
 
 
 def ee_reference(p: int, q: int, s: int) -> float:
-    """``n - 4 + 2cosh(x1) + 2cosh(x2)`` from the roots of ``quartic_roots``,
+    """``n - 4 + 2cosh(x1) + 2cosh(x2)`` from the roots of ``quartic._roots``,
     with the evaluation order of ``quartic.ee_closed_form``."""
-    form = quartic_roots(p, q, s)
+    x1, x2 = _roots(p, q, s)
     n = s + p + q + 1
-    index = n - 4 + 2.0 * math.cosh(form.x1) + 2.0 * math.cosh(form.x2)
+    index = n - 4 + 2.0 * math.cosh(x1) + 2.0 * math.cosh(x2)
     if math.isinf(index):
         raise OverflowError("index exceeds the float range")
     return index
+
+
+def ee_decimal(p: int, q: int, s: int) -> Decimal:
+    """``ee_closed_form`` in 60-digit ``decimal`` arithmetic: the roots of
+    ``t**2 - c2 t + c0`` by ``Decimal.sqrt``, and ``cosh`` from
+    ``Decimal.exp``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c2, c0 = s + p * q + p * s, p * q * s
+        t1 = (Decimal(c2) + Decimal(c2 * c2 - 4 * c0).sqrt()) / 2
+        return (s + p + q + 1 - 4 + 2 * _cosh_decimal(t1.sqrt())
+                + 2 * _cosh_decimal((c0 / t1).sqrt()))
+
+
+def complete_bipartite_decimal(n1: int, n2: int) -> Decimal:
+    """``complete_bipartite_ee`` (both sides nonempty) in 60-digit
+    ``decimal`` arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return n1 + n2 - 2 + 2 * _cosh_decimal(Decimal(n1 * n2).sqrt())
+
+
+def _cosh_decimal(x: Decimal) -> Decimal:
+    return (x.exp() + (-x).exp()) / 2
+
+
+def transfer_root_shift_reference(p: int, q: int, s: int) -> int:
+    """Sign of the shifted quartic at the larger root, from its value
+    ``(P + Q sqrt(D)) / 4`` with ``P = c2^2 + D - 2 c2 c2' + 4 c0'`` and
+    ``Q = 2 (c2 - c2')`` (production takes the difference of the two
+    quadratics at ``t1`` instead)."""
+    c2, c0 = s + p * q + p * s, p * q * s
+    c2_shift, c0_shift = (s + (p - 1) * (q + 1) + (p - 1) * s,
+                          (p - 1) * (q + 1) * s)
+    d = c2 * c2 - 4 * c0
+    big_p = c2 * c2 + d - 2 * c2 * c2_shift + 4 * c0_shift
+    big_q = 2 * (c2 - c2_shift)
+    # sign of big_p + big_q sqrt(d), from the signs of the two terms and,
+    # when they differ, of the difference of their squares
+    sp, sq = (big_p > 0) - (big_p < 0), (big_q > 0) - (big_q < 0)
+    if d == 0 or sq == 0:
+        return sp
+    if sp == 0 or sp == sq:
+        return sq
+    square_diff = big_p * big_p - big_q * big_q * d
+    return sp * ((square_diff > 0) - (square_diff < 0))
+
+
+def moment_series_reference(g: Graph) -> float:
+    """``estrada(g, "moment-series").value`` as the ``Fraction`` sum of
+    ``M_k / k!`` over the same exact moments and cutoff (production takes
+    one integer sum ``M_k K!/k!`` over ``K!``)."""
+    cutoff, _ = spectral._series_cutoff(g.n, float(g.max_degree()))
+    acc = Fraction(0)
+    factorial = 1
+    for k, m_k in enumerate(spectral._moment_run(g, cutoff)):
+        if k > 0:
+            factorial *= k
+        acc += Fraction(m_k, factorial)
+    return float(acc)
 
 
 def sweep_reference(comparison: str, *, max_p: int = 12, max_q: int = 12,
@@ -559,7 +621,6 @@ def all_graphs(n: int):
 def fraction_rank(mat) -> int:
     """Rank over exact rationals by Gauss-Jordan elimination; cross-check for
     the nullity read off the characteristic polynomial."""
-    from fractions import Fraction
     m = [[Fraction(x) for x in row] for row in mat]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0

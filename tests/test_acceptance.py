@@ -29,8 +29,8 @@ from bipartite_estrada.families import (CoverPartition, collapsed_cover_graph,
                                         complete_bipartite, join_family,
                                         saturated_cover_graph)
 from bipartite_estrada.graph import emit_graph6
-from bipartite_estrada.quartic import (complete_bipartite_ee, ee_closed_form,
-                                       quartic_roots, side_swap_gain, sweep)
+from bipartite_estrada.quartic import (_roots, complete_bipartite_ee,
+                                       ee_closed_form, side_swap_gain, sweep)
 from bipartite_estrada.search import find_maximizers, is_isomorphic
 from bipartite_estrada.spectral import (eigenvalues, estrada, nullity_exact)
 from bipartite_estrada.walks import walk_counts
@@ -204,14 +204,14 @@ def test_join_family_spectrum_consistency():
         for q in range(1, 13):
             for s in range(1, 13):
                 g = join_family(s, p, q)
-                form = quartic_roots(p, q, s)
+                x1, x2 = _roots(p, q, s)
                 spectrum = eigenvalues(g)
                 vals = spectrum.eigenvalues
                 spectral_ok = (
-                    abs(vals[0] - form.x1) < 1e-8
-                    and abs(vals[1] - form.x2) < 1e-8
-                    and abs(vals[-1] + form.x1) < 1e-8
-                    and abs(vals[-2] + form.x2) < 1e-8
+                    abs(vals[0] - x1) < 1e-8
+                    and abs(vals[1] - x2) < 1e-8
+                    and abs(vals[-1] + x1) < 1e-8
+                    and abs(vals[-2] + x2) < 1e-8
                     and all(abs(x) < 1e-8 for x in vals[2:-2]))
                 nullity_ok = spectrum.nullity == g.n - 4
                 closed_ok = _relative_close(

@@ -397,6 +397,20 @@ class TestVerify:
             assert code == 4 and err.startswith("write error:") and stdout == ""
             assert str(out) in err
 
+    def test_out_or_sidecar_an_existing_directory_exit4_before_scanning(
+            self, capsys, monkeypatch, tmp_path):
+        # the report, its CSV sidecar or its timing sidecar would be written
+        # over a directory
+        monkeypatch.setattr(cli, "find_maximizers", _no_scan)
+        for taken in ("report", "report.csv", "report.timing.json"):
+            root = tmp_path / taken.replace(".", "-")
+            (root / taken).mkdir(parents=True)
+            code, stdout, err = run(capsys, "verify", "--theorem", "matching",
+                                    "--n-max", "3", "--out", str(root / "report"))
+            assert code == 4 and err.startswith("write error:") and stdout == ""
+            assert list(root.iterdir()) == [root / taken]
+            assert list((root / taken).iterdir()) == []
+
     def test_out_equal_to_its_csv_sidecar_exit2_before_scanning(self, capsys,
                                                                 monkeypatch,
                                                                 tmp_path):

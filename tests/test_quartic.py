@@ -7,14 +7,15 @@ import pytest
 
 from bipartite_estrada import quartic
 from bipartite_estrada.families import join_family
-from bipartite_estrada.quartic import (_slice_corners, complete_bipartite_ee,
+from bipartite_estrada.quartic import (_coefficients, _roots, _slice_corners,
+                                       complete_bipartite_ee,
                                        complete_split_deficit, ee_closed_form,
-                                       quartic_roots,
                                        quartic_value_at_integer_square,
                                        side_swap_gain, sweep, transfer_gain,
                                        transfer_root_shift_sign)
 from bipartite_estrada.spectral import estrada, eigenvalues, nullity_exact
-from oracles import ee_reference, sweep_reference
+from oracles import (complete_bipartite_decimal, ee_decimal, ee_reference,
+                     sweep_reference, transfer_root_shift_reference)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 EXACT_GRID = {"max_p": 30, "max_q": 30, "max_s": 30, "max_n": 200}
@@ -22,6 +23,8 @@ EXACT_GRID = {"max_p": 30, "max_q": 30, "max_s": 30, "max_n": 200}
 EXACT_GRID_POINTS = {"side-swap": 9455, "transfer": 3654, "complete-split": 5040}
 COMPARISONS = {"side-swap": "side_swap_gain", "transfer": "transfer_gain",
                "complete-split": "complete_split_deficit"}
+# c2 <= 700**2 keeps x1 = sqrt(t1) <= sqrt(c2) <= 700, inside the float range
+FLOAT_C2 = 700 * 700
 
 
 def _rel_close(a: float, b: float, tol: float) -> bool:
@@ -30,28 +33,28 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
 
 class TestRoots:
     def test_path_roots_are_golden(self):
-        form = quartic_roots(1, 1, 1)
-        assert form.c2 == 3 and form.c0 == 1
-        assert form.x1 == pytest.approx(GOLDEN, abs=1e-12)
-        assert form.x2 == pytest.approx(GOLDEN - 1, abs=1e-12)
+        x1, x2 = _roots(1, 1, 1)
+        assert _coefficients(1, 1, 1) == (3, 1)
+        assert x1 == pytest.approx(GOLDEN, abs=1e-12)
+        assert x2 == pytest.approx(GOLDEN - 1, abs=1e-12)
 
     def test_no_tail_degenerates(self):
-        form = quartic_roots(3, 0, 2)
-        assert form.x2 == 0.0
-        assert form.x1 == pytest.approx(math.sqrt(2 + 3 * 2), abs=1e-12)
+        x1, x2 = _roots(3, 0, 2)
+        assert x2 == 0.0
+        assert x1 == pytest.approx(math.sqrt(2 + 3 * 2), abs=1e-12)
 
     def test_product_is_sqrt_pqs(self):
         for p in range(1, 13):
             for q in range(0, 13):
                 for s in range(1, 13):
-                    form = quartic_roots(p, q, s)
-                    assert abs(form.x1 * form.x2 - math.sqrt(p * q * s)) < 1e-10
+                    x1, x2 = _roots(p, q, s)
+                    assert abs(x1 * x2 - math.sqrt(p * q * s)) < 1e-10
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            quartic_roots(0, 1, 1)
+            _roots(0, 1, 1)
         with pytest.raises(ValueError):
-            quartic_roots(1, 1, 0)
+            _roots(1, 1, 0)
 
 
 class TestClosedForm:
@@ -78,12 +81,12 @@ class TestClosedForm:
             for q in (1, 2):
                 for s in (1, 2):
                     g = join_family(s, p, q)
-                    form = quartic_roots(p, q, s)
+                    x1, x2 = _roots(p, q, s)
                     vals = eigenvalues(g).eigenvalues
-                    assert vals[0] == pytest.approx(form.x1, abs=1e-8)
-                    assert vals[1] == pytest.approx(form.x2, abs=1e-8)
-                    assert vals[-1] == pytest.approx(-form.x1, abs=1e-8)
-                    assert vals[-2] == pytest.approx(-form.x2, abs=1e-8)
+                    assert vals[0] == pytest.approx(x1, abs=1e-8)
+                    assert vals[1] == pytest.approx(x2, abs=1e-8)
+                    assert vals[-1] == pytest.approx(-x1, abs=1e-8)
+                    assert vals[-2] == pytest.approx(-x2, abs=1e-8)
                     assert nullity_exact(g) == g.n - 4
 
 
@@ -115,8 +118,7 @@ class TestComparisons:
                 for s in range(1, 9):
                     if not (p > q + s + 1 and q > 0):
                         continue
-                    form = quartic_roots(p, q, s)
-                    x = form.x1
+                    x = _roots(p, q, s)[0]
                     float_val = x ** 4 - x ** 2 * (s + (p - 1) * (q + 1)
                                                    + (p - 1) * s) \
                         + (p - 1) * (q + 1) * s
@@ -152,6 +154,116 @@ class TestComparisons:
                 v = complete_split_deficit(n, s)
                 if v.applicable:
                     assert v.sign_value == -s * ((n - 2 * s - 3) * (n - s) + 2)
+
+
+def _decimal_sides(v):
+    """``(lhs, rhs)`` of a verdict in 60-digit decimal arithmetic."""
+    if v.name == "side-swap":
+        return ee_decimal(v.p, v.q, v.s), ee_decimal(v.q + v.s, v.p - v.s, v.s)
+    if v.name == "transfer":
+        return ee_decimal(v.p, v.q, v.s), ee_decimal(v.p - 1, v.q + 1, v.s)
+    return (complete_bipartite_decimal(v.s, v.n - v.s),
+            ee_decimal(v.n - v.s - 2, 1, v.s))
+
+
+def _boundary_points(rng, offset):
+    """``(p, q, s)`` with ``p = q + s + offset`` and ``q >= 1``: every point
+    with ``q + s <= 20``, and 300 seeded ones with ``q + s <= 690``, those
+    with ``q + s = 690`` among them, all inside the float range."""
+    sums = [(m, s) for m in range(2, 21) for s in range(1, m)]
+    sums += [(690, 1), (690, 689)]
+    for _ in range(300):
+        m = rng.randint(2, 690)
+        sums.append((m, rng.randint(1, m - 1)))
+    return [(m + offset, m - s, s) for m, s in sums]
+
+
+class TestExactVerdicts:
+    """``holds`` comes from an exact integer witness (module docstring)."""
+
+    def check_against_decimal(self, verdicts):
+        assert verdicts
+        for v in verdicts:
+            assert v.applicable
+            lhs, rhs = _decimal_sides(v)
+            # the decimal difference is far above its own rounding
+            assert abs(rhs - lhs) > lhs.scaleb(-40), v
+            assert v.holds == (rhs > lhs), v
+
+    def test_side_swap_boundary_against_decimal(self):
+        # p = q + s - 1, where the relative gap is smallest
+        points = _boundary_points(random.Random(11), -1)
+        self.check_against_decimal([side_swap_gain(*pqs) for pqs in points])
+
+    def test_transfer_boundary_against_decimal(self):
+        points = _boundary_points(random.Random(12), 2)
+        self.check_against_decimal([transfer_gain(*pqs) for pqs in points])
+
+    def test_random_points_against_decimal(self):
+        rng = random.Random(13)
+        verdicts = []
+        while len(verdicts) < 900:
+            s, q = rng.randint(1, 200), rng.randint(0, 400)
+            p = rng.randint(1, 500)
+            n = rng.choice([2 * s + 2, rng.randint(4, 1000)])
+            candidates = [side_swap_gain(p, q, s), transfer_gain(p, q, s),
+                          complete_split_deficit(n, s)]
+            for v in candidates[:2]:
+                if v.applicable and max(_coefficients(p, q, s)[0],
+                                        _coefficients(p - 1, q + 1, s)[0],
+                                        _coefficients(q + s, p - s, s)[0]
+                                        ) <= FLOAT_C2:
+                    verdicts.append(v)
+            v = candidates[2]
+            if v.applicable and s * (n - s) <= FLOAT_C2 \
+                    and _coefficients(n - s - 2, 1, s)[0] <= FLOAT_C2:
+                verdicts.append(v)
+        assert {v.name for v in verdicts} == set(COMPARISONS)
+        assert any(not v.holds for v in verdicts)
+        self.check_against_decimal(verdicts)
+
+    def test_transfer_sign_is_negative_at_large_points(self, monkeypatch):
+        # integers only: the module's math is unreachable
+        monkeypatch.setattr(quartic, "math", None)
+        rng = random.Random(14)
+        for _ in range(2000):
+            p = rng.randint(4, 10 ** 9)
+            s = rng.randint(1, p - 3)
+            q = rng.randint(1, p - s - 2)
+            assert transfer_root_shift_sign(p, q, s) == -1
+            # the proof's witness: r**2 g(u) < 0 at u = s (r + s) / r
+            r = p - q - 1 - s
+            c2, c0 = _coefficients(p, q, s)
+            u_r = s * (r + s)
+            value = u_r * u_r - c2 * u_r * r + c0 * r * r
+            assert value == s * s * (s * (r + s) - p * r * (p - 1)) < 0
+
+    def test_transfer_sign_matches_reference(self):
+        # applicable or not
+        for s in range(1, 20):
+            for p in range(1, 40):
+                for q in range(0, 40):
+                    assert (transfer_root_shift_sign(p, q, s)
+                            == transfer_root_shift_reference(p, q, s)), (p, q, s)
+
+    def test_complete_split_factored_form_on_exact_grid(self):
+        verdicts = sweep("complete-split", **EXACT_GRID)
+        assert len(verdicts) == EXACT_GRID_POINTS["complete-split"]
+        for v in verdicts:
+            n, s = v.n, v.s
+            sign = -s * ((n - 2 * s - 3) * (n - s) + 2)
+            assert quartic_value_at_integer_square(s * (n - s), n - s - 2, 1, s) == sign
+            assert v.sign_value == sign and v.holds == (n >= 2 * s + 3)
+
+    @pytest.mark.parametrize("comparison", sorted(COMPARISONS))
+    def test_holds_reads_no_float(self, monkeypatch, comparison):
+        want = [v.holds for v in sweep(comparison, **EXACT_GRID)]
+        monkeypatch.setattr(quartic, "ee_closed_form", lambda p, q, s: 0.0)
+        monkeypatch.setattr(quartic, "complete_bipartite_ee", lambda a, b: 0.0)
+        got = sweep(comparison, **EXACT_GRID)
+        assert [v.holds for v in got] == want
+        assert all(v.lhs == v.rhs == 0.0 for v in got)
+        assert all(want) == (comparison != "complete-split")
 
 
 class TestSweeps:
@@ -191,8 +303,8 @@ class TestSweeps:
             elif v.name == "transfer":
                 pairs = [(p, q, s), (p - 1, q + 1, s)]
             else:
-                return [math.sqrt(s * (n - s)), quartic_roots(n - s - 2, 1, s).x1]
-            return [quartic_roots(*pqs).x1 for pqs in pairs]
+                return [math.sqrt(s * (n - s)), _roots(n - s - 2, 1, s)[0]]
+            return [_roots(*pqs)[0] for pqs in pairs]
 
         rng = random.Random(73)
         for _ in range(60):

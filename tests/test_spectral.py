@@ -2,19 +2,22 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bipartite_estrada.families import complete_bipartite, join_family
-from bipartite_estrada.graph import Graph, find_bipartition, from_biadjacency
-from bipartite_estrada.quartic import quartic_roots
+from bipartite_estrada.graph import (Graph, find_bipartition, from_biadjacency,
+                                     parse_graph6)
+from bipartite_estrada.quartic import _coefficients, _roots
 from bipartite_estrada.spectral import (SPECTRUM_TOLERANCE, _char_poly,
                                         _moment_run, _spectrum, eigenvalues,
                                         estrada, moment_series, nullity_exact)
 from oracles import (bf_closed_walks, bipartite_graphs, char_poly_big_integer,
-                     ee_lapack, fraction_rank, power_moments, random_bipartite,
-                     random_graph, spectrum_lapack)
+                     ee_lapack, fraction_rank, moment_series_reference,
+                     power_moments, random_bipartite, random_graph,
+                     spectrum_lapack)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 # K_{1,4} plus two isolated vertices: the smaller colour class {0, 5, 6}
@@ -52,7 +55,7 @@ class TestEigenvalues:
 
     def test_closed_forms(self):
         # K_{p,q} has spectrum +-sqrt(pq) and n - 2 zeros; the apex join has
-        # +-x1, +-x2 (x2 only when q > 0) from quartic_roots and zeros.  Every
+        # +-x1, +-x2 (x2 only when q > 0) from _roots and zeros.  Every
         # K_{p,q} up to the graph6 limit n = 62; every apex join of order
         # n <= 16 and of order 62 (all 37,820 joins with n <= 62 agree to
         # 4.2e-14 but take about 18 s on a 2-vCPU host).  The float route is
@@ -68,9 +71,9 @@ class TestEigenvalues:
         for n in list(range(3, 17)) + [62]:
             for s in range(1, n - 1):
                 for p in range(1, n - s):
-                    form = quartic_roots(p, n - 1 - s - p, s)
-                    check(join_family(s, p, n - 1 - s - p),
-                          [form.x1, form.x2] if form.q else [form.x1])
+                    q = n - 1 - s - p
+                    x1, x2 = _roots(p, q, s)
+                    check(join_family(s, p, q), [x1, x2] if q else [x1])
 
     def test_power_sums_match_exact_moments(self):
         # sum lambda^k against the exact M_k for k <= 6, to within 1e-12 of
@@ -156,11 +159,11 @@ class TestCharPoly:
         joins = [(s, p, q) for s in range(1, 4) for p in range(1, 5)
                  for q in range(0, 4)] + [(4, 30, 27), (20, 21, 20)]
         for s, p, q in joins:
-            form = quartic_roots(p, q, s)
+            c2, c0 = _coefficients(p, q, s)
             e = self.check(join_family(s, p, q), True)
-            assert e[:3] == (1, form.c2, form.c0)[:len(e)]
+            assert e[:3] == (1, c2, c0)[:len(e)]
             assert set(e[3:]) <= {0}
-            assert len(e) > 2 or form.c0 == 0
+            assert len(e) > 2 or c0 == 0
 
     def test_complete_graphs(self):
         # spectrum n - 1 once and -1 n - 1 times
@@ -302,6 +305,21 @@ class TestEstrada:
         # spectrum of K_{31,31}: +-31 and 60 zeros
         value = estrada(complete_bipartite(31, 31), "moment-series").value
         assert value == pytest.approx(60 + 2 * math.cosh(31), rel=1e-14)
+
+    def test_moment_series_equals_fraction_sum(self):
+        # one integer sum over K! and the Fraction sum are the same rational,
+        # each rounded once: the floats are equal to the last bit
+        golden = Path(__file__).parent / "golden" / "graphs.g6"
+        graphs = [parse_graph6(line) for line in golden.read_text().split()]
+        graphs.append(complete_bipartite(31, 31))
+        rng = random.Random(47)
+        for i in range(300):
+            n = rng.randint(1, 30)
+            graphs.append(random_graph(rng, n, rng.random()) if i % 2
+                          else random_bipartite(rng, max(n, 2), rng.random()))
+        for g in graphs:
+            value = estrada(g, "moment-series").value
+            assert value.hex() == moment_series_reference(g).hex()
 
     def test_series_bound_is_honest(self):
         rng = random.Random(41)
