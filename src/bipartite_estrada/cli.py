@@ -268,12 +268,8 @@ def _cmd_compare(args) -> int:
     comparison = CLI_LEMMAS[args.lemma]
     bounds = ("--max-n and --max-s" if comparison == "complete-split"
               else "--max-p, --max-q and --max-s")
-    try:
-        verdicts = sweep(comparison, max_p=args.max_p, max_q=args.max_q,
-                         max_s=args.max_s, max_n=args.max_n)
-    except OverflowError as exc:
-        raise CliUsageError(f"an index on the grid set by {bounds} overflows "
-                            f"a float (cosh above 710)") from exc
+    verdicts = sweep(comparison, max_p=args.max_p, max_q=args.max_q,
+                     max_s=args.max_s, max_n=args.max_n)
     if not verdicts:
         raise CliUsageError(f"the grid set by {bounds} holds no applicable point")
     header = ["comparison", "n", "s", "p", "q", "lhs", "rhs", "gap", "holds",
@@ -340,8 +336,7 @@ def _cmd_verify(args) -> int:
     kind = _THEOREM_KINDS[args.theorem]
     reports = []
     for n in range(args.n_min, args.n_max + 1):
-        reports += find_maximizers(kind, n, workers=args.threads,
-                                   allow_n12=args.allow_n12)
+        reports += find_maximizers(kind, n, workers=args.threads)
     failing = [r for r in reports if not r.empty and not r.verified]
     records = [_class_record(r) for r in reports]
     payload = {

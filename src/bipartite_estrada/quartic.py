@@ -6,7 +6,8 @@ with ``c2 = s + p*q + p*s`` and ``c0 = p*q*s``.  This module extracts the
 positive roots stably, evaluates the closed-form index, and implements the
 three pairwise index comparisons used by the extremal characterisation.
 Each verdict is decided by one exact integer witness; the float indices
-``lhs`` and ``rhs`` are only displayed.
+``lhs`` and ``rhs`` are only displayed, and a display index beyond the
+float range is written empty (``None``), with its ``gap``.
 
 One lemma proves all three comparisons.  With ``t = x**2``, the squared
 roots ``t1 >= t2 >= 0`` are the roots of ``g(t) = t**2 - c2*t + c0``, and an
@@ -140,7 +141,8 @@ class ComparisonVerdict(NamedTuple):
     """Result of one closed-form index comparison at a parameter point.
 
     The first ten fields are the columns of the ``compare`` CSV, in order;
-    the parameters a comparison does not use are ``None``.
+    the parameters a comparison does not use, and the display indices
+    beyond the float range, are ``None``.
     """
 
     name: str
@@ -187,9 +189,13 @@ def side_swap_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     if reason is not None:
         return ComparisonVerdict("side-swap", None, s, p, q, applicable=False,
                                  reason=reason)
-    lhs = ee_closed_form(p, q, s)
-    rhs = ee_closed_form(q + s, p - s, s)
-    return ComparisonVerdict("side-swap", None, s, p, q, lhs, rhs, rhs - lhs,
+    try:
+        lhs = ee_closed_form(p, q, s)
+        rhs = ee_closed_form(q + s, p - s, s)
+        gap = rhs - lhs
+    except OverflowError:
+        lhs = rhs = gap = None
+    return ComparisonVerdict("side-swap", None, s, p, q, lhs, rhs, gap,
                              s * s * (q + s - p) > 0)
 
 
@@ -213,10 +219,14 @@ def transfer_gain(p: int, q: int, s: int) -> ComparisonVerdict:
     if reason is not None:
         return ComparisonVerdict("transfer", None, s, p, q, applicable=False,
                                  reason=reason)
-    lhs = ee_closed_form(p, q, s)
-    rhs = ee_closed_form(p - 1, q + 1, s)
+    try:
+        lhs = ee_closed_form(p, q, s)
+        rhs = ee_closed_form(p - 1, q + 1, s)
+        gap = rhs - lhs
+    except OverflowError:
+        lhs = rhs = gap = None
     sign = transfer_root_shift_sign(p, q, s)
-    return ComparisonVerdict("transfer", None, s, p, q, lhs, rhs, rhs - lhs,
+    return ComparisonVerdict("transfer", None, s, p, q, lhs, rhs, gap,
                              sign < 0, sign)
 
 
@@ -243,51 +253,29 @@ def complete_split_deficit(n: int, s: int) -> ComparisonVerdict:
     if reason is not None:
         return ComparisonVerdict("complete-split", n, s, None, None,
                                  applicable=False, reason=reason)
-    lhs = complete_bipartite_ee(s, n - s)
-    rhs = ee_closed_form(n - s - 2, 1, s)
+    try:
+        lhs = complete_bipartite_ee(s, n - s)
+        rhs = ee_closed_form(n - s - 2, 1, s)
+        gap = rhs - lhs
+    except OverflowError:
+        lhs = rhs = gap = None
     sign_value = -s * ((n - 2 * s - 3) * (n - s) + 2)
     if quartic_value_at_integer_square(s * (n - s), n - s - 2, 1, s) != sign_value:
         raise AssertionError("exact quartic evaluation disagrees with the factored form")
     return ComparisonVerdict("complete-split", n, s, None, None, lhs, rhs,
-                             rhs - lhs, sign_value < 0, sign_value)
+                             gap, sign_value < 0, sign_value)
 
 
 # comparison identifiers accepted by the CLI
 CLI_LEMMAS = {"4.1": "side-swap", "4.2": "transfer", "4.3": "complete-split"}
 
 
-def _slice_corners(comparison: str, max_p: int, max_q: int, max_s: int,
-                   max_n: int) -> list[ComparisonVerdict]:
-    """The verdict at the largest point of each ``s`` of the grid.
-
-    Every index compares graphs of the apex join family or ``K_{s,n-s}``,
-    and each member is an induced subgraph of the member with ``p``, ``q``
-    or ``n`` one larger, so no index falls as they grow.  For fixed ``s``
-    the applicable points have ``p <= min(max_p, q + s - 1)`` (side-swap)
-    or ``q <= min(max_q, p - s - 2)`` (transfer), and complete-split is
-    applicable at ``max_n`` if it is at any ``n``.  So the point evaluated
-    here is applicable when any point of its ``s`` is, and no index of
-    that ``s`` exceeds its indices.
-    """
-    slices = range(1, max_s + 1)
-    if comparison == "side-swap":
-        return [side_swap_gain(min(max_p, max_q + s - 1), max_q, s) for s in slices]
-    if comparison == "transfer":
-        return [transfer_gain(max_p, min(max_q, max_p - s - 2), s) for s in slices]
-    if comparison == "complete-split":
-        return [complete_split_deficit(max_n, s) for s in slices]
-    raise ValueError(f"unknown comparison {comparison!r}")
-
-
 def sweep(comparison: str, *, max_p: int = 12, max_q: int = 12, max_s: int = 12,
           max_n: int = 40) -> list[ComparisonVerdict]:
     """All applicable verdicts of one comparison over a parameter grid.
 
-    The largest point of each ``s`` is evaluated first, so an index beyond
-    the float range raises ``OverflowError`` before the grid is swept.
-    Then a verdict is built only where the comparison is applicable.
+    A verdict is built only where the comparison is applicable.
     """
-    _slice_corners(comparison, max_p, max_q, max_s, max_n)
     slices, ps = range(1, max_s + 1), range(1, max_p + 1)
     if comparison == "side-swap":
         return [side_swap_gain(p, q, s) for s in slices for p in ps
@@ -295,5 +283,7 @@ def sweep(comparison: str, *, max_p: int = 12, max_q: int = 12, max_s: int = 12,
     if comparison == "transfer":
         return [transfer_gain(p, q, s) for s in slices for p in ps
                 for q in range(1, max_q + 1) if _transfer_blocker(p, q, s) is None]
-    return [complete_split_deficit(n, s) for n in range(4, max_n + 1) for s in slices
-            if _complete_split_blocker(n, s) is None]
+    if comparison == "complete-split":
+        return [complete_split_deficit(n, s) for n in range(4, max_n + 1)
+                for s in slices if _complete_split_blocker(n, s) is None]
+    raise ValueError(f"unknown comparison {comparison!r}")

@@ -394,16 +394,14 @@ def _default_values(n: int) -> list[int]:
 
 
 def find_maximizers(kind: str, n: int, values: Sequence[int] | None = None,
-                    workers: int = 1, allow_n12: bool = False) -> list[ExtremalReport]:
+                    workers: int = 1) -> list[ExtremalReport]:
     """Scan the order-``n`` stream once and report every requested class.
 
     One enumeration pass feeds all class values of the same kind, so the
     invariants are computed once per scanned orbit representative.
     """
-    limit = N_HARD_MAX if allow_n12 else N_DEFAULT_MAX
-    if not 2 <= n <= limit:
-        raise ValueError(f"order must be in 2..{limit} "
-                         f"(n = {N_HARD_MAX} needs allow_n12)")
+    if not 2 <= n <= N_HARD_MAX:
+        raise ValueError(f"order must be in 2..{N_HARD_MAX}")
     if values is None:
         values = _default_values(n)
     values = list(values)

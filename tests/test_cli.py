@@ -290,33 +290,18 @@ class TestCompare:
                                 "--max-q", "4", "--max-s", "4", "--out", str(out))
         assert code == 4 and err.startswith("write error:") and stdout == ""
 
-    def test_float_overflow_exit2(self, capsys, tmp_path):
-        # EE(join(p - 1, 2, 1)) needs cosh above 710 from p = 168,259 on
-        out = tmp_path / "grid.csv"
-        code, _, err = run(capsys, "compare", "--lemma", "4.2", "--max-p", "170000",
-                           "--max-q", "1", "--max-s", "1", "--out", str(out))
-        assert code == 2 and "usage error" in err
-        assert "--max-p, --max-q and --max-s" in err
-        assert not out.exists()
-
-    def test_float_overflow_found_before_the_sweep(self, capsys, monkeypatch):
-        # the 640,800-point grid fails at its one corner, s = 1
-        calls = []
-        original = quartic.side_swap_gain
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(quartic, "side_swap_gain", counting)
-        code, _, err = run(capsys, "compare", "--lemma", "4.1", "--max-p", "800",
-                           "--max-q", "800", "--max-s", "1")
-        assert code == 2 and "usage error" in err
-        assert calls == [(800, 800, 1)]
-        # 2 cosh(709.9993) is inf although cosh itself is finite
-        code, _, err = run(capsys, "compare", "--lemma", "4.3", "--max-n", "1420",
-                           "--max-s", "709")
-        assert code == 2 and "--max-n and --max-s" in err
+    def test_grid_beyond_the_float_range(self, capsys):
+        # rhs = EE(join(p - 1, 2, 1)) overflows a float from p = 167,932 on;
+        # the integer witness still decides every row
+        code, out, _ = run(capsys, "compare", "--lemma", "4.2", "--max-p", "168000",
+                           "--max-q", "1", "--max-s", "1")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 167997
+        for comparison, n, s, p, q, lhs, rhs, gap, holds, sign in rows:
+            empty = int(p) >= 167932
+            assert (lhs == "", rhs == "", gap == "") == (empty, empty, empty)
+            assert (holds, sign) == ("true", "-1")
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ import pytest
 
 from bipartite_estrada import quartic
 from bipartite_estrada.families import join_family
-from bipartite_estrada.quartic import (_coefficients, _roots, _slice_corners,
+from bipartite_estrada.quartic import (_coefficients, _roots,
                                        complete_bipartite_ee,
                                        complete_split_deficit, ee_closed_form,
                                        quartic_value_at_integer_square,
@@ -289,34 +289,25 @@ class TestSweeps:
         with pytest.raises(OverflowError):
             complete_bipartite_ee(709, 711)
         with pytest.raises(OverflowError):
-            complete_split_deficit(1420, 709)
-        with pytest.raises(OverflowError):
             ee_closed_form(1, 504098, 1)  # x1 = 709.9993
         assert math.isfinite(complete_bipartite_ee(708, 709))
+        # a verdict beyond the float range leaves its display cells empty;
+        # the n = 2s + 2 reversal is still decided by its witness s**2
+        verdict = complete_split_deficit(1420, 709)
+        assert verdict.lhs is verdict.rhs is verdict.gap is None
+        assert verdict.holds is False and verdict.sign_value == 709 ** 2
 
-    def test_slice_corners_bound_the_grid(self):
-        # the largest cosh argument at the corners is the grid's largest
-        def arguments(v):
-            p, q, s, n = (v.params.get(k) for k in "pqsn")
-            if v.name == "side-swap":
-                pairs = [(p, q, s), (q + s, p - s, s)]
-            elif v.name == "transfer":
-                pairs = [(p, q, s), (p - 1, q + 1, s)]
-            else:
-                return [math.sqrt(s * (n - s)), _roots(n - s - 2, 1, s)[0]]
-            return [_roots(*pqs)[0] for pqs in pairs]
-
-        rng = random.Random(73)
-        for _ in range(60):
-            grid = {"max_p": rng.randint(0, 14), "max_q": rng.randint(0, 14),
-                    "max_s": rng.randint(1, 8), "max_n": rng.randint(3, 40)}
-            for comparison in ("side-swap", "transfer", "complete-split"):
-                verdicts = sweep(comparison, **grid)
-                corners = [v for v in _slice_corners(comparison, **grid)
-                           if v.applicable]
-                assert all(v in verdicts for v in corners)
-                assert (max((x for v in corners for x in arguments(v)), default=None)
-                        == max((x for v in verdicts for x in arguments(v)), default=None))
+    def test_display_cells_empty_exactly_beyond_the_float_range(self):
+        verdict = side_swap_gain(800, 800, 1)
+        assert verdict.lhs is verdict.rhs is verdict.gap is None
+        assert verdict.holds is True
+        # rhs = EE(join(p - 1, 2, 1)) overflows from p = 167,932 on
+        last = transfer_gain(167931, 1, 1)
+        assert all(math.isfinite(x) for x in (last.lhs, last.rhs, last.gap))
+        first = transfer_gain(167932, 1, 1)
+        assert math.isfinite(ee_closed_form(167932, 1, 1))
+        assert first.lhs is first.rhs is first.gap is None
+        assert (last.holds, last.sign_value) == (first.holds, first.sign_value) == (True, -1)
 
     @pytest.mark.parametrize("comparison", sorted(COMPARISONS))
     def test_closed_form_matches_reference_on_exact_grid(self, monkeypatch,
@@ -338,9 +329,7 @@ class TestSweeps:
     @pytest.mark.parametrize("comparison", sorted(COMPARISONS))
     def test_verdicts_built_only_at_applicable_points(self, monkeypatch,
                                                       comparison):
-        # the corner of each s first, then one call per applicable point
-        corners = [tuple(v.params.values())
-                   for v in _slice_corners(comparison, **EXACT_GRID)]
+        # one call per applicable point, and no other
         calls = []
         name = COMPARISONS[comparison]
         original = getattr(quartic, name)
@@ -353,8 +342,7 @@ class TestSweeps:
         verdicts = sweep(comparison, **EXACT_GRID)
         assert len(verdicts) == EXACT_GRID_POINTS[comparison]
         assert all(v.applicable for v in verdicts)
-        assert len(corners) == EXACT_GRID["max_s"]
-        assert calls == corners + [tuple(v.params.values()) for v in verdicts]
+        assert calls == [tuple(v.params.values()) for v in verdicts]
 
     def test_sweep_matches_reference(self):
         rng = random.Random(41)

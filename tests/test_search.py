@@ -54,7 +54,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             find_maximizers("matching", 1)
         with pytest.raises(ValueError):
-            find_maximizers("matching", 13, allow_n12=True)
+            find_maximizers("matching", 13)
 
 
 def _orbit_key(a, b, bits):
@@ -433,8 +433,9 @@ class TestFindMaximizer:
             assert class_member(report.maximizer, report.descriptor)
 
     def test_descriptor_order_guard(self):
+        # the library scans up to n = 12; only the CLI gates n = 12 itself
         with pytest.raises(ValueError):
-            find_maximizers("matching", 12, [2])[0]
+            find_maximizers("matching", 13, [2])[0]
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Eigensolver, exact nullity, exact moments, and the three index routes."""
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -11,9 +12,10 @@ from bipartite_estrada.families import complete_bipartite, join_family
 from bipartite_estrada.graph import (Graph, find_bipartition, from_biadjacency,
                                      parse_graph6)
 from bipartite_estrada.quartic import _coefficients, _roots
-from bipartite_estrada.spectral import (SPECTRUM_TOLERANCE, _char_poly,
-                                        _moment_run, _spectrum, eigenvalues,
-                                        estrada, moment_series, nullity_exact)
+from bipartite_estrada.spectral import (_PRIMES, SPECTRUM_TOLERANCE, _char_poly,
+                                        _coefficient_bound, _moment_run,
+                                        _spectrum, eigenvalues, estrada,
+                                        moment_series, nullity_exact)
 from oracles import (bf_closed_walks, bipartite_graphs, char_poly_big_integer,
                      ee_lapack, fraction_rank, moment_series_reference,
                      power_moments, random_bipartite, random_graph,
@@ -268,6 +270,17 @@ class TestMoments:
         assert moments[0] == 62
         assert moments[1::2] == [0] * 64
         assert moments[2::2] == [2 * 961 ** j for j in range(1, 65)]
+
+    def test_primes_cover_the_largest_coefficient_bound(self):
+        # K_62 is the worst case of n <= 62: twice its Hadamard bound takes
+        # 193 bits, the product of the primes 200
+        n = 62
+        g = Graph.from_edges(n, itertools.combinations(range(n), 2))
+        adjacency = np.array(g.adjacency_int_rows(), dtype=np.int64)
+        assert 2 * _coefficient_bound(adjacency, False) < math.prod(_PRIMES)
+        # spectrum n - 1 once and -1 (n - 1) times
+        assert moment_series(g, 64).moments == tuple(
+            (n - 1) ** k + (n - 1) * (-1) ** k for k in range(65))
 
 
 class TestEstrada:
